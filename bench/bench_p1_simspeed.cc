@@ -58,16 +58,14 @@ struct ArmResult
 };
 
 /**
- * Arm 1: the Fig. 5 memory-system workload at its heaviest point
- * (16 threads, 4 banks) plus the most serialized one (16 threads,
- * 1 bank), so both the hit-dominated and conflict-dominated paths
- * are exercised. Workload mirrors bench_fig5_map_memsys.
+ * The Fig. 5 memory-system workload (mirrors bench_fig5_map_memsys):
+ * 16 threads, each with its own code copy and data segment, sweeping
+ * 8 x 127 x 4 loads.
  */
 ArmResult
-runFig5Arm()
+runFig5Program(isa::Machine &machine)
 {
-    ArmResult r;
-    const std::string src = R"(
+    auto assembly = isa::assemble(R"(
         movi r12, 0
         movi r13, 8
         outer:
@@ -85,34 +83,49 @@ runFig5Arm()
         addi r12, r12, 1
         bne r12, r13, outer
         halt
-    )";
-    auto assembly = isa::assemble(src);
+    )");
     if (!assembly.ok)
         sim::fatal("P1: %s", assembly.error.c_str());
+    for (unsigned i = 0; i < 16; ++i) {
+        const uint64_t code_base =
+            ((uint64_t(i) + 1) << 20) + uint64_t(i) * 128;
+        auto prog =
+            isa::loadProgram(machine.mem(), code_base, assembly.words);
+        isa::Thread *t = machine.spawn(prog.execPtr);
+        if (!t)
+            sim::fatal("P1: out of thread slots");
+        t->setReg(1, isa::dataSegment(((uint64_t(i) + 1) << 30) +
+                                          uint64_t(i) * 4096,
+                                      12));
+    }
+    ArmResult r;
+    const auto t0 = Clock::now();
+    machine.run(50'000'000);
+    r.wallSeconds = secondsSince(t0);
+    r.cycles = machine.cycle();
+    r.instructions = machine.stats().get("instructions");
+    return r;
+}
 
+/**
+ * Arm 1: the Fig. 5 memory-system workload at its heaviest point
+ * (16 threads, 4 banks) plus the most serialized one (16 threads,
+ * 1 bank), so both the hit-dominated and conflict-dominated paths
+ * are exercised. Workload mirrors bench_fig5_map_memsys.
+ */
+ArmResult
+runFig5Arm()
+{
+    ArmResult r;
     for (unsigned banks : {4u, 1u}) {
         isa::MachineConfig cfg;
         cfg.mem.cache = gp::bench::mapCache();
         cfg.mem.cache.banks = banks;
         isa::Machine machine(cfg);
-        for (unsigned i = 0; i < 16; ++i) {
-            const uint64_t code_base =
-                ((uint64_t(i) + 1) << 20) + uint64_t(i) * 128;
-            auto prog = isa::loadProgram(machine.mem(), code_base,
-                                         assembly.words);
-            isa::Thread *t = machine.spawn(prog.execPtr);
-            if (!t)
-                sim::fatal("P1: out of thread slots");
-            t->setReg(1,
-                      isa::dataSegment(((uint64_t(i) + 1) << 30) +
-                                           uint64_t(i) * 4096,
-                                       12));
-        }
-        const auto t0 = Clock::now();
-        machine.run(50'000'000);
-        r.wallSeconds += secondsSince(t0);
-        r.cycles += machine.cycle();
-        r.instructions += machine.stats().get("instructions");
+        const ArmResult one = runFig5Program(machine);
+        r.wallSeconds += one.wallSeconds;
+        r.cycles += one.cycles;
+        r.instructions += one.instructions;
     }
     return r;
 }
@@ -209,31 +222,7 @@ struct ProfiledArm
 ProfiledArm
 runFig5ProfiledArm()
 {
-    const std::string src = R"(
-        movi r12, 0
-        movi r13, 8
-        outer:
-        leabi r2, r1, 0
-        movi r10, 0
-        movi r11, 127
-        inner:
-        ld r3, 0(r2)
-        ld r4, 8(r2)
-        ld r5, 16(r2)
-        ld r6, 24(r2)
-        leai r2, r2, 32
-        addi r10, r10, 1
-        bne r10, r11, inner
-        addi r12, r12, 1
-        bne r12, r13, outer
-        halt
-    )";
-    auto assembly = isa::assemble(src);
-    if (!assembly.ok)
-        sim::fatal("P1: %s", assembly.error.c_str());
-
     auto run_once = [&](bool profiled) {
-        ArmResult r;
         isa::MachineConfig cfg;
         cfg.mem.cache = gp::bench::mapCache();
         cfg.mem.cache.banks = 4;
@@ -245,24 +234,7 @@ runFig5ProfiledArm()
                 cfg.clusters, cfg.clusters * cfg.threadsPerCluster,
                 pcfg);
         }
-        for (unsigned i = 0; i < 16; ++i) {
-            const uint64_t code_base =
-                ((uint64_t(i) + 1) << 20) + uint64_t(i) * 128;
-            auto prog = isa::loadProgram(machine.mem(), code_base,
-                                         assembly.words);
-            isa::Thread *t = machine.spawn(prog.execPtr);
-            if (!t)
-                sim::fatal("P1: out of thread slots");
-            t->setReg(1,
-                      isa::dataSegment(((uint64_t(i) + 1) << 30) +
-                                           uint64_t(i) * 4096,
-                                       12));
-        }
-        const auto t0 = Clock::now();
-        machine.run(50'000'000);
-        r.wallSeconds = secondsSince(t0);
-        r.cycles = machine.cycle();
-        r.instructions = machine.stats().get("instructions");
+        const ArmResult r = runFig5Program(machine);
         if (profiled)
             sim::Profiler::instance().disarm();
         return r;
@@ -405,107 +377,27 @@ runFig5ElideArm()
 }
 
 /**
- * Arm 6: the superblock threaded-code interpreter (ISSUE 10). The
- * heaviest Fig. 5 point runs three ways — legacy dispatch,
- * --superblocks, and functional-only --fast — timed separately.
- * Deterministic contract (fatal on violation): superblocks leave the
- * cycle count AND instruction count bit-identical to legacy, --fast
- * preserves the instruction count, and the trace engine actually ran
- * (hits > 0). The host rows expose the speedup; perfgate
- * additionally requires the in-run fig5-fast rate to be >= 2x the
- * in-run fig5-memsys rate (a same-host ratio, robust to machine
- * differences).
+ * Arm 6: functional-only --fast mode on the heaviest Fig. 5 point.
+ * Deterministic contract (fatal on violation): --fast preserves the
+ * instruction count of the timed run. perfgate additionally requires
+ * the in-run fig5-fast rate to be >= 2x the in-run fig5-memsys rate
+ * (a same-host ratio, robust to machine differences).
  */
-struct SuperblockArm
+ArmResult
+runFig5FastArm(const ArmResult &timed)
 {
-    ArmResult off;
-    ArmResult on;
-    ArmResult fast;
-    uint64_t hits = 0;
-    uint64_t installs = 0;
-};
-
-SuperblockArm
-runFig5SuperblockArm()
-{
-    const std::string src = R"(
-        movi r12, 0
-        movi r13, 8
-        outer:
-        leabi r2, r1, 0
-        movi r10, 0
-        movi r11, 127
-        inner:
-        ld r3, 0(r2)
-        ld r4, 8(r2)
-        ld r5, 16(r2)
-        ld r6, 24(r2)
-        leai r2, r2, 32
-        addi r10, r10, 1
-        bne r10, r11, inner
-        addi r12, r12, 1
-        bne r12, r13, outer
-        halt
-    )";
-    auto assembly = isa::assemble(src);
-    if (!assembly.ok)
-        sim::fatal("P1: %s", assembly.error.c_str());
-
-    SuperblockArm arm;
-    auto run_once = [&](bool superblocks, bool fast) {
-        ArmResult r;
-        isa::MachineConfig cfg;
-        cfg.mem.cache = gp::bench::mapCache();
-        cfg.mem.cache.banks = 4;
-        cfg.superblocks = superblocks;
-        cfg.fastMode = fast;
-        isa::Machine machine(cfg);
-        for (unsigned i = 0; i < 16; ++i) {
-            const uint64_t code_base =
-                ((uint64_t(i) + 1) << 20) + uint64_t(i) * 128;
-            auto prog = isa::loadProgram(machine.mem(), code_base,
-                                         assembly.words);
-            isa::Thread *t = machine.spawn(prog.execPtr);
-            if (!t)
-                sim::fatal("P1: out of thread slots");
-            t->setReg(1,
-                      isa::dataSegment(((uint64_t(i) + 1) << 30) +
-                                           uint64_t(i) * 4096,
-                                       12));
-        }
-        const auto t0 = Clock::now();
-        machine.run(50'000'000);
-        r.wallSeconds = secondsSince(t0);
-        r.cycles = machine.cycle();
-        r.instructions = machine.stats().get("instructions");
-        if (superblocks && !fast) {
-            arm.hits = machine.stats().get("superblock_hits");
-            arm.installs =
-                machine.stats().get("superblock_installs");
-        }
-        return r;
-    };
-
-    arm.off = run_once(false, false);
-    arm.on = run_once(true, false);
-    arm.fast = run_once(true, true);
-
-    if (arm.on.cycles != arm.off.cycles ||
-        arm.on.instructions != arm.off.instructions)
-        sim::fatal("P1: superblocks changed simulated behaviour: "
-                   "%llu/%llu cycles, %llu/%llu instructions",
-                   (unsigned long long)arm.off.cycles,
-                   (unsigned long long)arm.on.cycles,
-                   (unsigned long long)arm.off.instructions,
-                   (unsigned long long)arm.on.instructions);
-    if (arm.fast.instructions != arm.off.instructions)
+    isa::MachineConfig cfg;
+    cfg.mem.cache = gp::bench::mapCache();
+    cfg.mem.cache.banks = 4;
+    cfg.fastMode = true;
+    isa::Machine machine(cfg);
+    const ArmResult r = runFig5Program(machine);
+    if (r.instructions != timed.instructions)
         sim::fatal("P1: fast mode changed the instruction count: "
                    "%llu -> %llu",
-                   (unsigned long long)arm.off.instructions,
-                   (unsigned long long)arm.fast.instructions);
-    if (arm.hits == 0)
-        sim::fatal("P1: superblock arm never entered a trace");
-    return arm;
+                   (unsigned long long)timed.instructions,
+                   (unsigned long long)r.instructions);
+    return r;
 }
 
 /** Arm 3: a small deterministic fault campaign (hardened config). */
@@ -550,7 +442,7 @@ main(int argc, char **argv)
     const CampaignArm camp = runCampaignArm();
     const ProfiledArm prof = runFig5ProfiledArm();
     const ElideArm elide = runFig5ElideArm();
-    const SuperblockArm sb = runFig5SuperblockArm();
+    const ArmResult fast = runFig5FastArm(prof.off);
 
     // ---- Table 1: deterministic signature (hard CI gate). --------
     // Every cell here is a pure function of the simulator: any drift
@@ -607,19 +499,9 @@ main(int argc, char **argv)
                         (unsigned long long)elide.elided,
                         (unsigned long long)elide.executed)});
     det.addRow(
-        {"fig5-superblock",
-         gp::bench::fmt("%llu", (unsigned long long)sb.on.cycles),
-         gp::bench::fmt("%llu",
-                        (unsigned long long)sb.on.instructions),
-         gp::bench::fmt("off=%llu hits=%llu installs=%llu",
-                        (unsigned long long)sb.off.cycles,
-                        (unsigned long long)sb.hits,
-                        (unsigned long long)sb.installs)});
-    det.addRow(
         {"fig5-fast",
-         gp::bench::fmt("%llu", (unsigned long long)sb.fast.cycles),
-         gp::bench::fmt("%llu",
-                        (unsigned long long)sb.fast.instructions),
+         gp::bench::fmt("%llu", (unsigned long long)fast.cycles),
+         gp::bench::fmt("%llu", (unsigned long long)fast.instructions),
          "functional-only; timing model bypassed"});
     det.print();
 
@@ -641,9 +523,7 @@ main(int argc, char **argv)
     hostRow("fig5-prof-on", prof.on);
     hostRow("fig5-elide-off", elide.off);
     hostRow("fig5-elide-on", elide.on);
-    hostRow("fig5-sb-off", sb.off);
-    hostRow("fig5-sb-on", sb.on);
-    hostRow("fig5-fast", sb.fast);
+    hostRow("fig5-fast", fast);
     host.addRow({"fault-campaign",
                  gp::bench::fmt("%.1f", camp.wallSeconds * 1e3),
                  gp::bench::fmt("%.1f runs/s",

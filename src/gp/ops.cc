@@ -336,6 +336,44 @@ accessFault(Fault f, Access kind, const PointerView &v)
     return countFault(f);
 }
 
+/**
+ * The access check's decision on an already-decoded pointer: rights
+ * for the access kind, natural alignment, and the access fitting in
+ * the segment. Counts and traces nothing (see accessFault()).
+ */
+Fault
+accessFaultOf(const PointerView &v, Access kind, unsigned size_bytes)
+{
+    const uint32_t rights = rightsOf(v.perm());
+    uint32_t needed = 0;
+    switch (kind) {
+      case Access::Load:
+        needed = RightRead;
+        break;
+      case Access::Store:
+        needed = RightWrite;
+        break;
+      case Access::InstFetch:
+        needed = RightExecute;
+        break;
+    }
+    if ((rights & needed) != needed)
+        return Fault::PermissionDenied;
+
+    if (size_bytes == 0 || (size_bytes & (size_bytes - 1)) != 0 ||
+        size_bytes > 8)
+        return Fault::Misaligned;
+    if (v.addr() & (size_bytes - 1))
+        return Fault::Misaligned;
+
+    // Natural alignment plus power-of-two segments means an in-segment
+    // start address implies the whole range is in-segment, unless the
+    // segment itself is smaller than the access.
+    if (v.segmentBytes() < size_bytes)
+        return Fault::BoundsViolation;
+    return Fault::None;
+}
+
 } // namespace
 
 Fault
@@ -345,114 +383,70 @@ checkAccess(Word ptr, Access kind, unsigned size_bytes)
     auto dec = decode(ptr);
     if (!dec)
         return countFault(dec.fault);
-    const PointerView &v = dec.value;
-
-    const uint32_t rights = rightsOf(v.perm());
-    uint32_t needed = 0;
-    switch (kind) {
-      case Access::Load:
-        needed = RightRead;
-        break;
-      case Access::Store:
-        needed = RightWrite;
-        break;
-      case Access::InstFetch:
-        needed = RightExecute;
-        break;
-    }
-    if ((rights & needed) != needed)
-        return accessFault(Fault::PermissionDenied, kind, v);
-
-    if (size_bytes == 0 || (size_bytes & (size_bytes - 1)) != 0 ||
-        size_bytes > 8) {
-        return accessFault(Fault::Misaligned, kind, v);
-    }
-    if (v.addr() & (size_bytes - 1))
-        return accessFault(Fault::Misaligned, kind, v);
-
-    // Natural alignment plus power-of-two segments means an in-segment
-    // start address implies the whole range is in-segment, unless the
-    // segment itself is smaller than the access.
-    if (v.segmentBytes() < size_bytes)
-        return accessFault(Fault::BoundsViolation, kind, v);
-
+    if (Fault f = accessFaultOf(dec.value, kind, size_bytes);
+        f != Fault::None)
+        return accessFault(f, kind, dec.value);
     return Fault::None;
+}
+
+Result<Word>
+leaForAccess(Word ptr, int64_t delta, Access kind, unsigned size_bytes,
+             bool &checked)
+{
+    checked = false;
+    Word eff = ptr;
+    if (delta == 0) {
+        // No LEA runs for a zero displacement: only the access check.
+        if (!decode(ptr))
+            return Result<Word>::ok(ptr); // the caller's check faults
+    } else {
+        // --- LEA half (identical counting/tracing to lea()) ---
+        GP_OP_COUNT(lea);
+        auto dec = decodeMutable(ptr);
+        if (!dec)
+            return Result<Word>::fail(dec.fault);
+
+        const uint64_t old_addr = dec.value.addr();
+        const uint64_t new_addr =
+            (old_addr + static_cast<uint64_t>(delta)) & kAddrMask;
+
+        if (Fault f =
+                boundsCheck(old_addr, new_addr, dec.value.lenLog2());
+            f != Fault::None) {
+            GP_TRACE(Fault, sim::TraceManager::instance().cycle(), 0,
+                     "bounds-violation",
+                     "lea seg=[0x%llx,+0x%llx) perm=%s addr=0x%llx "
+                     "delta=%lld",
+                     (unsigned long long)dec.value.segmentBase(),
+                     (unsigned long long)dec.value.segmentBytes(),
+                     std::string(permName(dec.value.perm())).c_str(),
+                     (unsigned long long)old_addr, (long long)delta);
+            return Result<Word>::fail(countFault(f));
+        }
+        eff = withAddr(ptr, new_addr);
+    }
+
+    // --- access-check half. For a nonzero delta this reuses the LEA's
+    // decode: withAddr() changes only address bits, so perm/len (and
+    // hence rights and segment size) are those already validated. ---
+    if (accessFaultOf(PointerView(eff), kind, size_bytes) == Fault::None) {
+        GP_OP_COUNT(accessChecks);
+        checked = true;
+    }
+    return Result<Word>::ok(eff);
 }
 
 Result<Word>
 leaCheckAccess(Word ptr, int64_t delta, Access kind,
                unsigned size_bytes)
 {
-    if (delta == 0) {
-        // No LEA runs for a zero displacement; this is just the
-        // pre-issue access check on the base pointer.
-        if (Fault f = checkAccess(ptr, kind, size_bytes);
-            f != Fault::None)
-            return Result<Word>::fail(f);
-        return Result<Word>::ok(ptr);
-    }
-
-    // --- LEA half (identical counting/tracing to lea()) ---
-    GP_OP_COUNT(lea);
-    auto dec = decodeMutable(ptr);
-    if (!dec)
-        return Result<Word>::fail(dec.fault);
-
-    const uint64_t old_addr = dec.value.addr();
-    const uint64_t new_addr =
-        (old_addr + static_cast<uint64_t>(delta)) & kAddrMask;
-
-    if (Fault f = boundsCheck(old_addr, new_addr, dec.value.lenLog2());
-        f != Fault::None) {
-        GP_TRACE(Fault, sim::TraceManager::instance().cycle(), 0,
-                 "bounds-violation",
-                 "lea seg=[0x%llx,+0x%llx) perm=%s addr=0x%llx "
-                 "delta=%lld",
-                 (unsigned long long)dec.value.segmentBase(),
-                 (unsigned long long)dec.value.segmentBytes(),
-                 std::string(permName(dec.value.perm())).c_str(),
-                 (unsigned long long)old_addr, (long long)delta);
-        return Result<Word>::fail(countFault(f));
-    }
-    const Word eff = withAddr(ptr, new_addr);
-
-    // --- access-check half, reusing the decode: withAddr() changes
-    // only address bits, so perm/len (and hence rights and segment
-    // size) are those already decoded above. ---
-    GP_OP_COUNT(accessChecks);
-    const PointerView v(eff);
-
-    const uint32_t rights = rightsOf(v.perm());
-    uint32_t needed = 0;
-    switch (kind) {
-      case Access::Load:
-        needed = RightRead;
-        break;
-      case Access::Store:
-        needed = RightWrite;
-        break;
-      case Access::InstFetch:
-        needed = RightExecute;
-        break;
-    }
-    if ((rights & needed) != needed)
-        return Result<Word>::fail(
-            accessFault(Fault::PermissionDenied, kind, v));
-
-    if (size_bytes == 0 || (size_bytes & (size_bytes - 1)) != 0 ||
-        size_bytes > 8) {
-        return Result<Word>::fail(
-            accessFault(Fault::Misaligned, kind, v));
-    }
-    if (v.addr() & (size_bytes - 1))
-        return Result<Word>::fail(
-            accessFault(Fault::Misaligned, kind, v));
-
-    if (v.segmentBytes() < size_bytes)
-        return Result<Word>::fail(
-            accessFault(Fault::BoundsViolation, kind, v));
-
-    return Result<Word>::ok(eff);
+    bool checked = false;
+    const Result<Word> r =
+        leaForAccess(ptr, delta, kind, size_bytes, checked);
+    if (!r || checked)
+        return r;
+    // The check fails: run it for real, counting and tracing the fault.
+    return Result<Word>::fail(checkAccess(r.value, kind, size_bytes));
 }
 
 Result<Word>

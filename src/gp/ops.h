@@ -94,19 +94,31 @@ Result<Word> intToPtr(Word seg_ptr, uint64_t offset);
 Fault checkAccess(Word ptr, Access kind, unsigned size_bytes);
 
 /**
- * Fused LEA + access check for the interpreter's load/store hot path
- * (superblock threaded dispatch): derive ptr + delta and verify the
+ * Fused LEA + access check: derive ptr + delta and verify the
  * access in one pass over a single permission decode. Fault order,
  * fault kinds, counter bumps, and trace events are identical to the
  * split sequence `lea(ptr, delta)` followed by
- * `checkAccess(result, kind, size_bytes)` — only the redundant second
- * decode is skipped, which is legal because withAddr() preserves every
- * non-address field. delta == 0 degenerates to checkAccess alone
+ * `checkAccess(result, kind, size_bytes)` — a passing access skips
+ * the redundant second decode, which is legal because withAddr()
+ * preserves every non-address field. delta == 0 degenerates to checkAccess alone
  * (matching the interpreter, which never runs LEA for a zero
  * displacement).
  */
 Result<Word> leaCheckAccess(Word ptr, int64_t delta, Access kind,
                             unsigned size_bytes);
+
+/**
+ * leaCheckAccess() for a caller whose memory port runs the access
+ * check's fault path: the LEA half counts, traces, and faults exactly
+ * like lea(). Then @p checked tells whether the access check passes.
+ * If it does, it is counted as having run, and the port may skip it.
+ * If it does not, nothing is counted or traced for it: the caller
+ * runs the access with the port's check, which raises the fault with
+ * the usual accounting. Either way the totals equal the split
+ * sequence's.
+ */
+Result<Word> leaForAccess(Word ptr, int64_t delta, Access kind,
+                          unsigned size_bytes, bool &checked);
 
 /**
  * Unchecked fast paths for statically-proven pointer operations

@@ -64,9 +64,7 @@ inline constexpr uint32_t kProofVersion = 1;
  * The static half of the machine's elision gate: does this baked
  * verdict entitle an instruction to the unchecked datapath when
  * executed at the given privilege? The caller still owns the dynamic
- * half (no fault handler installed, fault injector unarmed). Shared
- * by the per-instruction interpreter and the superblock dispatcher so
- * the two paths can never disagree on what a proof means.
+ * half (no fault handler installed, fault injector unarmed).
  */
 inline constexpr bool
 verdictElides(uint8_t verdict, bool privileged)

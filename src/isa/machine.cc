@@ -88,6 +88,28 @@ instClass(Op op)
     }
 }
 
+/** @return the access size in bytes of a load/store opcode, else 0. */
+unsigned
+accessSize(Op op)
+{
+    switch (op) {
+      case Op::LD:
+      case Op::ST:
+        return 8;
+      case Op::LDW:
+      case Op::STW:
+        return 4;
+      case Op::LDH:
+      case Op::STH:
+        return 2;
+      case Op::LDB:
+      case Op::STB:
+        return 1;
+      default:
+        return 0;
+    }
+}
+
 } // namespace
 
 Machine::Machine(const MachineConfig &config)
@@ -151,16 +173,6 @@ Machine::initStats()
     elideChecksExecuted_ = &stats_.counter("elide_checks_executed");
     elideCyclesSaved_ = &stats_.counter("elide_cycles_saved");
     predecode_.assign(kPredecodeEntries, PredecodedInst{});
-    if (config_.superblocks) {
-        // Superblock state and counters exist only when the feature
-        // is on: a default-mode machine exposes exactly the counter
-        // set the blessed F6/fig5 signatures were pinned to.
-        superblockHits_ = &stats_.counter("superblock_hits");
-        superblockInstalls_ = &stats_.counter("superblock_installs");
-        superblockFlushes_ = &stats_.counter("superblock_flushes");
-        superblocks_.assign(kSbEntries, Superblock{});
-        sbRecorders_.assign(threads_.size(), SbRecorder{});
-    }
     for (unsigned i = 0; i < kInstClassCount; ++i)
         mix_[i] = &stats_.counter(std::string("mix_") + kClassNames[i]);
     // Per-kind fault counters. Kinds through WatchdogTimeout are
@@ -180,21 +192,6 @@ void
 Machine::flushPredecode()
 {
     predecode_.assign(kPredecodeEntries, PredecodedInst{});
-    flushSuperblocks();
-}
-
-void
-Machine::flushSuperblocks()
-{
-    if (superblocks_.empty())
-        return;
-    for (Superblock &b : superblocks_)
-        b.valid = false;
-    for (SbRecorder &r : sbRecorders_)
-        r.reset();
-    // Stale thread cursors are harmless: every use revalidates
-    // against the block's valid/entry/count fields.
-    (*superblockFlushes_)++;
 }
 
 void
@@ -593,15 +590,29 @@ Machine::faultThread(Thread &thread, Fault f)
         sim::TraceManager::instance().unhandledFault();
 }
 
-bool
+inline bool
 Machine::advanceIp(Thread &thread, int64_t inst_delta, bool elide)
 {
     if (elide) {
         // A never-faults verdict covers every control-flow edge out of
         // the instruction (escaping edges record a BoundsViolation at
-        // its index), so the IP update is provably in-segment.
+        // its index), so the IP update is provably in-segment — for
+        // the code segment the verifier assumed. This thread may hold
+        // a narrower execute pointer, so the IP proof goes: the next
+        // fetch re-runs the full check.
         thread.setIp(gp::leaUnchecked(thread.ip(), inst_delta * 8));
         return true;
+    }
+    if (thread.ipProven()) {
+        // The proof carries the segment mask, so this is the masked
+        // comparator gp::lea would run (§4.1), minus the decode: an
+        // advance that changes no segment bit cannot fault.
+        const Word next = gp::leaUnchecked(thread.ip(), inst_delta * 8);
+        if (((next.addr() ^ thread.ip().addr()) &
+             thread.ipSegmentMask()) == 0) {
+            thread.stepIp(next);
+            return true;
+        }
     }
     auto next = gp::lea(thread.ip(), inst_delta * 8);
     if (!next) {
@@ -611,7 +622,7 @@ Machine::advanceIp(Thread &thread, int64_t inst_delta, bool elide)
         faultThread(thread, next.fault);
         return false;
     }
-    thread.setIp(next.value);
+    thread.stepIp(next.value);
     return true;
 }
 
@@ -619,17 +630,14 @@ void
 Machine::issueThread(Thread &thread)
 {
     lastIssueCycle_ = cycle_; // progress signal for the watchdog
-    // Superblock threaded dispatch: taken only when no observer
-    // needs per-instruction visibility — the trace hook, profiler,
-    // and trace sinks all see every instruction on the legacy path.
-    // One bool test when the feature is off.
-    if (config_.superblocks && !traceHook_ &&
-        !sim::Profiler::armed() && !sim::TraceManager::anyEnabled() &&
-        issueThreadSb(thread))
-        return;
     if (sim::Profiler::armed())
         sim::Profiler::instance().accBegin(sim::ProfComp::IFetch);
-    const mem::MemAccess f = port_->portFetch(thread.ip(), cycle_);
+    // While the thread holds an IP proof the fetch check cannot fire
+    // (Thread::ipProven), so the port skips it. The timed fetch itself
+    // always runs: bank contention, cache and TLB state, translation
+    // faults, and completion cycles do not depend on the proof.
+    const mem::MemAccess f =
+        port_->portFetch(thread.ip(), cycle_, thread.ipProven());
     if (f.deferred) {
         // Cross-shard fetch under the epoch engine: park the thread
         // until the barrier delivers the fetched word, then resume
@@ -662,6 +670,15 @@ Machine::finishFetch(Thread &thread, const mem::MemAccess &f)
         faultThread(thread, f.fault);
         return;
     }
+    // The fetch check passed (or was already proven): the IP proof
+    // holds from here until the next IP write that is not an
+    // in-segment sequential/branch advance. The pointer decode runs
+    // once per proof, not once per instruction.
+    if (!thread.ipProven()) {
+        const gp::PointerView v(thread.ip());
+        thread.proveIp(v.perm() == Perm::ExecutePrivileged,
+                       gp::segmentMask(v.lenLog2()));
+    }
 
     // Predecoded-instruction cache: decode is a pure function of the
     // fetched 65-bit word, so memoise it per static instruction. The
@@ -674,10 +691,8 @@ Machine::finishFetch(Thread &thread, const mem::MemAccess &f)
     const uint64_t ip_addr = thread.ip().addr();
     PredecodedInst &slot =
         predecode_[(ip_addr >> 3) & (kPredecodeEntries - 1)];
-    const Inst *inst = nullptr;
     if (slot.addr == ip_addr && slot.bits == f.data.bits() &&
         !f.data.isPointer()) {
-        inst = &slot.inst;
         (*predecodeHits_)++;
     } else {
         const auto decoded = gp::isa::decodeInst(f.data);
@@ -694,42 +709,18 @@ Machine::finishFetch(Thread &thread, const mem::MemAccess &f)
         slot.verdict = config_.elideChecks && !elideProofs_.empty()
                            ? proofVerdict(ip_addr, f.data.bits())
                            : 0;
-        inst = &slot.inst;
+        slot.size = uint8_t(accessSize(decoded->op));
+        slot.mixClass = uint8_t(instClass(decoded->op));
         (*predecodeMisses_)++;
     }
 
-    // Feed the superblock trace recorder: record-as-you-go from the
-    // actual timed fetches, so only genuinely executed straight-line
-    // paths become traces (and never through portPeek, which would
-    // demand-allocate pages the program never touched).
-    if (config_.superblocks)
-        recordSbStep(thread, ip_addr, f.data.bits(), *inst,
-                     slot.verdict);
-
-    if (sim::Profiler::armed()) {
-        // Open the instruction's occupancy record at the issue cycle;
-        // the IP's segment is the thread's protection-domain identity.
-        // The fetch's scratch timeline covers [issue, fetch-complete).
-        const unsigned slot = unsigned(&thread - threads_.data());
-        const gp::PointerView ipv(thread.ip());
-        auto &prof = sim::Profiler::instance();
-        prof.beginInst(slot, cycle_, ip_addr, ipv.segmentBase(),
-                       ipv.segmentLimit());
-        prof.flushAccess(slot, f.completeCycle - cycle_);
-    }
-    if (traceHook_)
-        traceHook_(thread, *inst, cycle_);
-    // Structured twin of the trace hook: same point in the issue path,
-    // but routed through the TraceManager sinks. Format arguments
-    // (including the toString) are not evaluated when Exec is off.
-    GP_TRACE(Exec, cycle_, thread.id(),
-             std::string(opName(inst->op)).c_str(), "t%u ip=0x%llx %s",
-             thread.id(),
-             static_cast<unsigned long long>(thread.ip().addr()),
-             toString(*inst).c_str());
-    execute(thread, *inst, f.completeCycle, slot.verdict);
+    if (sim::Profiler::armed() || traceHook_ ||
+        sim::TraceManager::anyEnabled())
+        observeIssue(thread, slot.inst, f.completeCycle);
+    const unsigned mix = slot.mixClass;
+    execute(thread, slot, f.completeCycle);
     (*instructions_)++;
-    (*mix_[instClass(inst->op)])++;
+    (*mix_[mix])++;
     if (proofsDirty_) {
         // A store into a verified image dropped the proofs mid-execute;
         // now that nothing aliases the predecode array, purge the
@@ -740,12 +731,135 @@ Machine::finishFetch(Thread &thread, const mem::MemAccess &f)
 }
 
 void
-Machine::execute(Thread &thread, const Inst &inst, uint64_t ready_at,
-                 uint8_t verdict)
+Machine::observeIssue(const Thread &thread, const Inst &inst,
+                      uint64_t fetch_done)
 {
+    const uint64_t ip_addr = thread.ip().addr();
+    if (sim::Profiler::armed()) {
+        // Open the instruction's occupancy record at the issue cycle;
+        // the IP's segment is the thread's protection-domain identity.
+        // The fetch's scratch timeline covers [issue, fetch-complete).
+        const unsigned ti = unsigned(&thread - threads_.data());
+        const gp::PointerView ipv(thread.ip());
+        auto &prof = sim::Profiler::instance();
+        prof.beginInst(ti, cycle_, ip_addr, ipv.segmentBase(),
+                       ipv.segmentLimit());
+        prof.flushAccess(ti, fetch_done - cycle_);
+    }
+    if (traceHook_)
+        traceHook_(thread, inst, cycle_);
+    // Structured twin of the trace hook: same point in the issue path,
+    // but routed through the TraceManager sinks. Format arguments
+    // (including the toString) are not evaluated when Exec is off.
+    GP_TRACE(Exec, cycle_, thread.id(),
+             std::string(opName(inst.op)).c_str(), "t%u ip=0x%llx %s",
+             thread.id(), static_cast<unsigned long long>(ip_addr),
+             toString(inst).c_str());
+}
+
+void
+Machine::countCheck(bool elided)
+{
+    if (elided)
+        (*elideChecksElided_)++;
+    else
+        (*elideChecksExecuted_)++;
+    if (sim::Profiler::armed())
+        sim::Profiler::instance().noteCheck(elided);
+}
+
+bool
+Machine::memoryOp(Thread &thread, const PredecodedInst &slot,
+                  uint64_t ready_at, bool elide, uint64_t &done)
+{
+    const Inst &inst = slot.inst;
+    const bool is_store = inst.op >= Op::ST;
+    const uint32_t ti = uint32_t(&thread - threads_.data());
+
+    // Displacement-addressed operand: derive the effective pointer
+    // with a bounds-checked LEA (paper §2.2, Load/Store) and run the
+    // access check on the same decode. A passing check lets the port
+    // skip its own; a failing one is left to the port, which raises
+    // the fault with its usual accounting.
+    Word ptr = thread.reg(inst.ra);
+    bool checked = elide;
+    if (inst.imm != 0)
+        noteCheck(elide);
+    if (elide) {
+        if (inst.imm != 0)
+            ptr = gp::leaUnchecked(ptr, inst.imm);
+    } else {
+        const auto eff = gp::leaForAccess(
+            ptr, inst.imm, is_store ? Access::Store : Access::Load,
+            slot.size, checked);
+        if (!eff) {
+            faultThread(thread, eff.fault);
+            return false;
+        }
+        ptr = eff.value;
+    }
+    const Word value = is_store ? thread.reg(inst.rd) : Word{};
+    if (sim::Profiler::armed())
+        sim::Profiler::instance().accBegin(sim::ProfComp::DCache);
+    noteCheck(elide);
+    const mem::MemAccess acc =
+        is_store
+            ? port_->portStore(ptr, value, slot.size, ready_at, checked)
+            : port_->portLoad(ptr, slot.size, ready_at, checked);
+    if (acc.deferred) {
+        // Cross-shard access: the pointer check already ran above;
+        // park until the barrier delivers data and timing.
+        readyMayHaveShrunk_ = true;
+        thread.park();
+        deferred_.push_back(
+            {acc.ticket, ti,
+             is_store ? DeferredKind::Store : DeferredKind::Load,
+             is_store ? uint8_t(0) : inst.rd, slot.size,
+             is_store ? ptr.addr() : 0, elide});
+        return false;
+    }
+    if (acc.hang) {
+        thread.stallTo(UINT64_MAX);
+        (*hungAccesses_)++;
+        if (sim::Profiler::armed())
+            sim::Profiler::instance().noteHang(ti, cycle_);
+        return false;
+    }
+    if (acc.fault != Fault::None) {
+        faultThread(thread, acc.fault);
+        return false;
+    }
+    if (!is_store) {
+        thread.setReg(inst.rd, acc.data);
+    } else {
+        // A store landing inside a verified image voids every proof:
+        // rewriting one instruction can invalidate verdicts at other
+        // instructions whose own bits are unchanged (safety facts
+        // flow through dataflow). Two compares per store; fires
+        // ~never.
+        const uint64_t sa = ptr.addr();
+        if (sa + slot.size > proofCoverLo_ && sa < proofCoverHi_) {
+            elideProofs_.clear();
+            proofCoverLo_ = UINT64_MAX;
+            proofCoverHi_ = 0;
+            proofsDirty_ = true; // flush deferred: slot is aliased
+        }
+    }
+    done = acc.completeCycle;
+    if (sim::Profiler::armed())
+        sim::Profiler::instance().flushAccess(ti, done - ready_at);
+    return true;
+}
+
+void
+Machine::execute(Thread &thread, const PredecodedInst &slot,
+                 uint64_t ready_at)
+{
+    const Inst &inst = slot.inst;
     const Word ra = thread.reg(inst.ra);
     const Word rb = thread.reg(inst.rb);
-    const bool priv = gp::ipPrivileged(thread.ip());
+    // Proven by the fetch that brought this instruction in.
+    const bool priv = thread.ipPrivileged();
 
     // Verifier-driven check elision (docs/VERIFIER.md "Proof export &
     // check elision"): take the unchecked datapath only when the baked
@@ -756,167 +870,23 @@ Machine::execute(Thread &thread, const Inst &inst, uint64_t ready_at,
     // and a software fault handler may patch registers on *another*
     // instruction's fault. With the feature off verdict is always 0,
     // so this costs one always-false bit test.
-    const bool elide = verdictElides(verdict, priv) &&
+    const bool elide = verdictElides(slot.verdict, priv) &&
                        !faultHandler_ &&
                        !sim::FaultInjector::armed();
 
     // Default: single-cycle execution after fetch, sequential IP.
     uint64_t done = ready_at + 1;
     int64_t branch_delta = 1;
-    // Set when a memory-op lambda takes a fault: the instruction must
-    // not retire or advance IP afterwards (the fault handler may have
-    // arranged a retry at the same IP).
-    bool fault_taken = false;
-
-    // Elided/executed accounting per elidable check event (pointer-op
-    // check, displacement LEA, access check, IP-advance LEA). Only
-    // meaningful — and only paid — under elideChecks mode, so both
-    // counters read 0 in a baseline run.
-    auto note_check = [&](bool elided) {
-        if (!config_.elideChecks)
-            return;
-        if (elided)
-            (*elideChecksElided_)++;
-        else
-            (*elideChecksExecuted_)++;
-        if (sim::Profiler::armed())
-            sim::Profiler::instance().noteCheck(elided);
-    };
+    // Pointer-op result, finished by the shared tail after the switch.
+    Result<Word> ptr;
+    bool ptr_op = false;
 
     auto alu = [&](uint64_t value) {
         thread.setReg(inst.rd, Word::fromInt(value));
     };
-    auto ptr_result = [&](const Result<Word> &r) {
-        note_check(false);
-        if (!r) {
-            faultThread(thread, r.fault);
-            return false;
-        }
-        thread.setReg(inst.rd, r.value);
-        return true;
-    };
-    // Elided pointer op: the result comes straight off the address
-    // datapath in the fetch shadow — the one-cycle checking tail
-    // disappears from the timing model (the measurable simulated
-    // saving of elision; memory-op check skips are host-speed only).
-    auto elide_ptr = [&](Word value) {
-        thread.setReg(inst.rd, value);
-        done = ready_at;
-        (*elideCyclesSaved_)++;
-        note_check(true);
-    };
 
-    // Displacement-addressed memory operand: derive the effective
-    // pointer with a bounds-checked LEA (paper §2.2, Load/Store).
-    auto eff_ptr = [&](Word base, int32_t disp) -> Result<Word> {
-        if (disp == 0)
-            return Result<Word>::ok(base);
-        if (elide) {
-            note_check(true);
-            return Result<Word>::ok(gp::leaUnchecked(base, disp));
-        }
-        note_check(false);
-        return gp::lea(base, disp);
-    };
-
-    auto do_load = [&](unsigned size) {
-        auto ptr = eff_ptr(ra, inst.imm);
-        if (!ptr) {
-            faultThread(thread, ptr.fault);
-            fault_taken = true;
-            return;
-        }
-        if (sim::Profiler::armed())
-            sim::Profiler::instance().accBegin(sim::ProfComp::DCache);
-        note_check(elide);
-        const mem::MemAccess acc =
-            port_->portLoad(ptr.value, size, ready_at, elide);
-        if (acc.deferred) {
-            // Cross-shard load: the pointer check already ran above;
-            // park until the barrier delivers data and timing.
-            readyMayHaveShrunk_ = true;
-            thread.park();
-            deferred_.push_back(
-                {acc.ticket, uint32_t(&thread - threads_.data()),
-                 DeferredKind::Load, inst.rd, size, 0, elide});
-            fault_taken = true; // suppress the retire/advance tail
-            return;
-        }
-        if (acc.hang) {
-            thread.stallTo(UINT64_MAX);
-            (*hungAccesses_)++;
-            if (sim::Profiler::armed())
-                sim::Profiler::instance().noteHang(
-                    unsigned(&thread - threads_.data()), cycle_);
-            fault_taken = true;
-            return;
-        }
-        if (acc.fault != Fault::None) {
-            faultThread(thread, acc.fault);
-            fault_taken = true;
-            return;
-        }
-        thread.setReg(inst.rd, acc.data);
-        done = acc.completeCycle;
-        if (sim::Profiler::armed())
-            sim::Profiler::instance().flushAccess(
-                unsigned(&thread - threads_.data()), done - ready_at);
-    };
-
-    auto do_store = [&](unsigned size) {
-        auto ptr = eff_ptr(ra, inst.imm);
-        if (!ptr) {
-            faultThread(thread, ptr.fault);
-            fault_taken = true;
-            return;
-        }
-        const Word value = thread.reg(inst.rd);
-        if (sim::Profiler::armed())
-            sim::Profiler::instance().accBegin(sim::ProfComp::DCache);
-        note_check(elide);
-        const mem::MemAccess acc =
-            port_->portStore(ptr.value, value, size, ready_at, elide);
-        if (acc.deferred) {
-            readyMayHaveShrunk_ = true;
-            thread.park();
-            deferred_.push_back(
-                {acc.ticket, uint32_t(&thread - threads_.data()),
-                 DeferredKind::Store, 0, size, ptr.value.addr(),
-                 elide});
-            fault_taken = true; // suppress the retire/advance tail
-            return;
-        }
-        if (acc.hang) {
-            thread.stallTo(UINT64_MAX);
-            (*hungAccesses_)++;
-            if (sim::Profiler::armed())
-                sim::Profiler::instance().noteHang(
-                    unsigned(&thread - threads_.data()), cycle_);
-            fault_taken = true;
-            return;
-        }
-        if (acc.fault != Fault::None) {
-            faultThread(thread, acc.fault);
-            fault_taken = true;
-            return;
-        }
-        // A store landing inside a verified image voids every proof:
-        // rewriting one instruction can invalidate verdicts at other
-        // instructions whose own bits are unchanged (safety facts flow
-        // through dataflow). Two compares per store; fires ~never.
-        const uint64_t sa = ptr.value.addr();
-        if (sa + size > proofCoverLo_ && sa < proofCoverHi_) {
-            elideProofs_.clear();
-            proofCoverLo_ = UINT64_MAX;
-            proofCoverHi_ = 0;
-            proofsDirty_ = true; // flush deferred: inst aliases a slot
-        }
-        done = acc.completeCycle;
-        if (sim::Profiler::armed())
-            sim::Profiler::instance().flushAccess(
-                unsigned(&thread - threads_.data()), done - ready_at);
-    };
-
+    // The handler table: a dense switch over Op, which the compiler
+    // lowers to one indirect jump through a table indexed by opcode.
     switch (inst.op) {
       case Op::NOP:
         break;
@@ -999,66 +969,56 @@ Machine::execute(Thread &thread, const Inst &inst, uint64_t ready_at,
         break;
 
       case Op::LD:
-        do_load(8);
-        break;
       case Op::LDW:
-        do_load(4);
-        break;
       case Op::LDH:
-        do_load(2);
-        break;
       case Op::LDB:
-        do_load(1);
-        break;
       case Op::ST:
-        do_store(8);
-        break;
       case Op::STW:
-        do_store(4);
-        break;
       case Op::STH:
-        do_store(2);
-        break;
       case Op::STB:
-        do_store(1);
+        if (!memoryOp(thread, slot, ready_at, elide, done))
+            return;
         break;
 
+      // Pointer operations (§2.2): the checked datapath, or under a
+      // never-faults verdict the unchecked one. Their shared tail
+      // follows the switch.
       case Op::LEA:
-        if (elide)
-            elide_ptr(gp::leaUnchecked(ra, int64_t(rb.bits())));
-        else if (!ptr_result(gp::lea(ra, int64_t(rb.bits()))))
-            return;
+        ptr = elide ? Result<Word>::ok(
+                          gp::leaUnchecked(ra, int64_t(rb.bits())))
+                    : gp::lea(ra, int64_t(rb.bits()));
+        ptr_op = true;
         break;
       case Op::LEAI:
-        if (elide)
-            elide_ptr(gp::leaUnchecked(ra, int64_t(inst.imm)));
-        else if (!ptr_result(gp::lea(ra, int64_t(inst.imm))))
-            return;
+        ptr = elide ? Result<Word>::ok(
+                          gp::leaUnchecked(ra, int64_t(inst.imm)))
+                    : gp::lea(ra, int64_t(inst.imm));
+        ptr_op = true;
         break;
       case Op::LEAB:
-        if (elide)
-            elide_ptr(gp::leabUnchecked(ra, int64_t(rb.bits())));
-        else if (!ptr_result(gp::leab(ra, int64_t(rb.bits()))))
-            return;
+        ptr = elide ? Result<Word>::ok(
+                          gp::leabUnchecked(ra, int64_t(rb.bits())))
+                    : gp::leab(ra, int64_t(rb.bits()));
+        ptr_op = true;
         break;
       case Op::LEABI:
-        if (elide)
-            elide_ptr(gp::leabUnchecked(ra, int64_t(inst.imm)));
-        else if (!ptr_result(gp::leab(ra, int64_t(inst.imm))))
-            return;
+        ptr = elide ? Result<Word>::ok(
+                          gp::leabUnchecked(ra, int64_t(inst.imm)))
+                    : gp::leab(ra, int64_t(inst.imm));
+        ptr_op = true;
         break;
-      case Op::RESTRICT:
-        if (elide)
-            elide_ptr(gp::restrictUnchecked(ra, Perm(rb.bits() & 0xf)));
-        else if (!ptr_result(
-                     gp::restrictPerm(ra, Perm(rb.bits() & 0xf))))
-            return;
+      case Op::RESTRICT: {
+        const Perm target = Perm(rb.bits() & 0xf);
+        ptr = elide ? Result<Word>::ok(gp::restrictUnchecked(ra, target))
+                    : gp::restrictPerm(ra, target);
+        ptr_op = true;
         break;
+      }
       case Op::SUBSEG:
-        if (elide)
-            elide_ptr(gp::subsegUnchecked(ra, rb.bits() & 0x3f));
-        else if (!ptr_result(gp::subseg(ra, rb.bits() & 0x3f)))
-            return;
+        ptr = elide ? Result<Word>::ok(
+                          gp::subsegUnchecked(ra, rb.bits() & 0x3f))
+                    : gp::subseg(ra, rb.bits() & 0x3f);
+        ptr_op = true;
         break;
       case Op::SETPTR:
         // The single privileged operation (§2.2, Pointer Creation).
@@ -1072,16 +1032,15 @@ Machine::execute(Thread &thread, const Inst &inst, uint64_t ready_at,
         alu(gp::ispointer(ra));
         break;
       case Op::PTOI:
-        if (elide)
-            elide_ptr(gp::ptrToIntUnchecked(ra));
-        else if (!ptr_result(gp::ptrToInt(ra)))
-            return;
+        ptr = elide ? Result<Word>::ok(gp::ptrToIntUnchecked(ra))
+                    : gp::ptrToInt(ra);
+        ptr_op = true;
         break;
       case Op::ITOP:
-        if (elide)
-            elide_ptr(gp::intToPtrUnchecked(ra, rb.bits()));
-        else if (!ptr_result(gp::intToPtr(ra, rb.bits())))
-            return;
+        ptr = elide ? Result<Word>::ok(
+                          gp::intToPtrUnchecked(ra, rb.bits()))
+                    : gp::intToPtr(ra, rb.bits());
+        ptr_op = true;
         break;
 
       case Op::JMP: {
@@ -1104,6 +1063,8 @@ Machine::execute(Thread &thread, const Inst &inst, uint64_t ready_at,
                      static_cast<unsigned long long>(gate.value.addr()));
         }
         thread.retire();
+        // An arbitrary new IP (possibly another domain's, or the same
+        // code through a narrower pointer): voids the IP proof.
         thread.setIp(target.value);
         thread.stallTo(ready_at + 1);
         if (sim::Profiler::armed())
@@ -1141,11 +1102,26 @@ Machine::execute(Thread &thread, const Inst &inst, uint64_t ready_at,
         return;
     }
 
-    if (fault_taken)
-        return;
+    if (ptr_op) {
+        noteCheck(elide);
+        if (!ptr) {
+            faultThread(thread, ptr.fault);
+            return;
+        }
+        thread.setReg(inst.rd, ptr.value);
+        if (elide) {
+            // Elided pointer op: the result comes straight off the
+            // address datapath in the fetch shadow — the one-cycle
+            // checking tail disappears from the timing model (the
+            // measurable simulated saving of elision; memory-op check
+            // skips are host-speed only).
+            done = ready_at;
+            (*elideCyclesSaved_)++;
+        }
+    }
 
     thread.retire();
-    note_check(elide);
+    noteCheck(elide);
     if (!advanceIp(thread, branch_delta, elide))
         return;
     thread.stallTo(done);
@@ -1155,8 +1131,8 @@ Machine::execute(Thread &thread, const Inst &inst, uint64_t ready_at,
         // the explicit "check" CPI slice. Everything else is compute.
         sim::Profiler::instance().endInst(
             unsigned(&thread - threads_.data()), done,
-            instClass(inst.op) == ClassPointer ? sim::ProfComp::Check
-                                               : sim::ProfComp::Compute);
+            slot.mixClass == ClassPointer ? sim::ProfComp::Check
+                                          : sim::ProfComp::Compute);
     }
 }
 
@@ -1231,614 +1207,6 @@ Machine::completeDeferred(uint64_t ticket, const mem::MemAccess &acc)
     if (!advanceIp(thread, 1, rec.elide))
         return;
     thread.stallTo(acc.completeCycle);
-}
-
-bool
-Machine::issueThreadSb(Thread &thread)
-{
-    const uint64_t ip_addr = thread.ip().addr();
-    if (thread.sbEntry() != UINT64_MAX) {
-        // Resume the trace in progress. The cursor is revalidated
-        // wholesale: the block must still be the one whose span this
-        // thread verified (same entry AND count — a re-recorded
-        // block may be longer than the proven span), and the IP must
-        // sit exactly on the cursor's slot.
-        Superblock &b =
-            superblocks_[(thread.sbEntry() >> 3) & (kSbEntries - 1)];
-        if (b.valid && b.entry == thread.sbEntry() &&
-            b.count == thread.sbCount() &&
-            thread.sbPos() < b.count &&
-            b.entry + uint64_t(thread.sbPos()) * 8 == ip_addr) {
-            execSbSlot(thread, b);
-            return true;
-        }
-        thread.clearSbCursor();
-    }
-    Superblock &b = superblocks_[(ip_addr >> 3) & (kSbEntries - 1)];
-    if (!b.valid || b.entry != ip_addr)
-        return false;
-    // Entry verification, once per block entry: the trace runs
-    // check-elided fetches, which is sound only against THIS
-    // thread's execute pointer — different threads may hold
-    // differently-bounded pointers to the same code. One decode
-    // proves execute rights, alignment, and that the whole trace
-    // span sits inside the segment; the intra-block sequential IP
-    // advance (withAddr only) preserves every non-address field, so
-    // the proof holds for as long as the cursor lives. Declining to
-    // prove (no execute right, span escapes) falls back to the
-    // legacy path, which raises the architectural fault under full
-    // checks.
-    auto dec = gp::decode(thread.ip());
-    if (!dec)
-        return false;
-    const gp::PointerView &v = dec.value;
-    if ((gp::rightsOf(v.perm()) & gp::RightExecute) == 0 ||
-        (ip_addr & 7) != 0 ||
-        b.entry + uint64_t(b.count) * 8 > v.segmentLimit())
-        return false;
-    thread.setSbCursor(b.entry, b.count, 0,
-                       v.perm() == gp::Perm::ExecutePrivileged);
-    execSbSlot(thread, b);
-    return true;
-}
-
-void
-Machine::execSbSlot(Thread &thread, Superblock &b)
-{
-    const uint32_t pos = thread.sbPos();
-    const SbSlot &slot = b.slots[pos];
-    // The timed fetch always runs: bank contention, cache and TLB
-    // state, translation faults, and completion cycles are identical
-    // to the legacy path. Only the per-fetch pointer check is
-    // elided, under the span proof established at block entry.
-    const mem::MemAccess f =
-        port_->portFetch(thread.ip(), cycle_, true);
-    if (f.deferred) {
-        readyMayHaveShrunk_ = true;
-        thread.park();
-        deferred_.push_back(
-            {f.ticket, uint32_t(&thread - threads_.data()),
-             DeferredKind::Fetch, 0, 0, 0, false});
-        // The barrier resumes through finishFetch() on the legacy
-        // path; the cursor would be stale by then.
-        thread.clearSbCursor();
-        return;
-    }
-    if (f.hang) {
-        thread.clearSbCursor();
-        thread.stallTo(UINT64_MAX);
-        (*hungAccesses_)++;
-        return;
-    }
-    if (f.fault != Fault::None) {
-        thread.clearSbCursor();
-        faultThread(thread, f.fault);
-        return;
-    }
-    if (f.data.bits() != slot.bits || f.data.isPointer()) {
-        // Raw-bits revalidation failed: the code under the trace
-        // changed (self-modifying code, image reload). Tear the
-        // block down and re-decode this very fetch result on the
-        // legacy path — no second fetch, no timing difference.
-        b.valid = false;
-        (*superblockFlushes_)++;
-        thread.clearSbCursor();
-        finishFetch(thread, f);
-        return;
-    }
-    (*superblockHits_)++;
-    executeSb(thread, b, pos, slot, f.completeCycle);
-}
-
-void
-Machine::executeSb(Thread &thread, Superblock &b, uint32_t pos,
-                   const SbSlot &slot, uint64_t ready_at)
-{
-    const Inst &inst = slot.inst;
-    const Word ra = thread.reg(inst.ra);
-    const Word rb = thread.reg(inst.rb);
-    // Privilege was verified at block entry and is invariant while
-    // the cursor lives (the sequential advance never alters the
-    // permission field) — the per-instruction ipPrivileged() decode
-    // of the legacy path disappears.
-    const bool priv = thread.sbPriv();
-    const bool elide = verdictElides(slot.verdict, priv) &&
-                       !faultHandler_ &&
-                       !sim::FaultInjector::armed();
-    const bool last = pos + 1 == b.count;
-
-    // Counting up front is equivalent to the legacy order (execute,
-    // then count in finishFetch): every dispatched slot counts, like
-    // every executed instruction does — including halts, faults, and
-    // operand parks.
-    (*instructions_)++;
-    (*mix_[slot.mixClass])++;
-
-    uint64_t done = ready_at + 1;
-    int64_t branch_delta = 1;
-
-    // Twin of execute()'s note_check: elide-accounting only, and only
-    // under elideChecks mode. The profiler leg is omitted — the
-    // superblock path never runs with the profiler armed.
-    auto note_check = [&](bool elided) {
-        if (!config_.elideChecks)
-            return;
-        if (elided)
-            (*elideChecksElided_)++;
-        else
-            (*elideChecksExecuted_)++;
-    };
-    auto sb_fault = [&](Fault f) {
-        thread.clearSbCursor();
-        faultThread(thread, f);
-    };
-
-#if defined(__GNUC__) && !defined(GP_NO_COMPUTED_GOTO)
-    // Threaded dispatch: one indirect jump per slot. The table is
-    // positional — its order must match SbHandler exactly.
-    static const void *const kSbLabels[] = {
-        &&h_add,   &&h_sub,  &&h_mul,  &&h_and,  &&h_or,
-        &&h_xor,   &&h_shl,  &&h_shr,  &&h_sra,  &&h_slt,
-        &&h_sltu,  &&h_addi, &&h_andi, &&h_ori,  &&h_xori,
-        &&h_shli,  &&h_shri, &&h_srai, &&h_movi, &&h_lui,
-        &&h_mov,   &&h_nop,  &&h_getip, &&h_load, &&h_store,
-        &&h_lea,   &&h_leai, &&h_beq,  &&h_bne,  &&h_blt,
-        &&h_bge,   &&h_generic,
-    };
-    static_assert(sizeof(kSbLabels) / sizeof(kSbLabels[0]) ==
-                      kSbHandlerCount,
-                  "label table must cover every SbHandler in order");
-    goto *kSbLabels[slot.handler];
-#else
-    // Portable fallback (GP_NO_COMPUTED_GOTO; exercised by the
-    // gp-no-computed-goto CI job): a dense switch over the handler
-    // index jumping to the same labels.
-    switch (SbHandler(slot.handler)) {
-      case kSbAdd:
-        goto h_add;
-      case kSbSub:
-        goto h_sub;
-      case kSbMul:
-        goto h_mul;
-      case kSbAnd:
-        goto h_and;
-      case kSbOr:
-        goto h_or;
-      case kSbXor:
-        goto h_xor;
-      case kSbShl:
-        goto h_shl;
-      case kSbShr:
-        goto h_shr;
-      case kSbSra:
-        goto h_sra;
-      case kSbSlt:
-        goto h_slt;
-      case kSbSltu:
-        goto h_sltu;
-      case kSbAddi:
-        goto h_addi;
-      case kSbAndi:
-        goto h_andi;
-      case kSbOri:
-        goto h_ori;
-      case kSbXori:
-        goto h_xori;
-      case kSbShli:
-        goto h_shli;
-      case kSbShri:
-        goto h_shri;
-      case kSbSrai:
-        goto h_srai;
-      case kSbMovi:
-        goto h_movi;
-      case kSbLui:
-        goto h_lui;
-      case kSbMov:
-        goto h_mov;
-      case kSbNop:
-        goto h_nop;
-      case kSbGetIp:
-        goto h_getip;
-      case kSbLoad:
-        goto h_load;
-      case kSbStore:
-        goto h_store;
-      case kSbLea:
-        goto h_lea;
-      case kSbLeai:
-        goto h_leai;
-      case kSbBeq:
-        goto h_beq;
-      case kSbBne:
-        goto h_bne;
-      case kSbBlt:
-        goto h_blt;
-      case kSbBge:
-        goto h_bge;
-      case kSbGeneric:
-      case kSbHandlerCount:
-        goto h_generic;
-    }
-    goto h_generic;
-#endif
-
-  h_add:
-    thread.setReg(inst.rd, Word::fromInt(ra.bits() + rb.bits()));
-    goto seq_tail;
-  h_sub:
-    thread.setReg(inst.rd, Word::fromInt(ra.bits() - rb.bits()));
-    goto seq_tail;
-  h_mul:
-    thread.setReg(inst.rd, Word::fromInt(ra.bits() * rb.bits()));
-    done = ready_at + config_.mulLatency;
-    goto seq_tail;
-  h_and:
-    thread.setReg(inst.rd, Word::fromInt(ra.bits() & rb.bits()));
-    goto seq_tail;
-  h_or:
-    thread.setReg(inst.rd, Word::fromInt(ra.bits() | rb.bits()));
-    goto seq_tail;
-  h_xor:
-    thread.setReg(inst.rd, Word::fromInt(ra.bits() ^ rb.bits()));
-    goto seq_tail;
-  h_shl:
-    thread.setReg(inst.rd,
-                  Word::fromInt(ra.bits() << (rb.bits() & 63)));
-    goto seq_tail;
-  h_shr:
-    thread.setReg(inst.rd,
-                  Word::fromInt(ra.bits() >> (rb.bits() & 63)));
-    goto seq_tail;
-  h_sra:
-    thread.setReg(inst.rd,
-                  Word::fromInt(uint64_t(int64_t(ra.bits()) >>
-                                         (rb.bits() & 63))));
-    goto seq_tail;
-  h_slt:
-    thread.setReg(inst.rd,
-                  Word::fromInt(int64_t(ra.bits()) <
-                                        int64_t(rb.bits())
-                                    ? 1
-                                    : 0));
-    goto seq_tail;
-  h_sltu:
-    thread.setReg(inst.rd,
-                  Word::fromInt(ra.bits() < rb.bits() ? 1 : 0));
-    goto seq_tail;
-  h_addi:
-    thread.setReg(inst.rd, Word::fromInt(ra.bits() +
-                                         uint64_t(int64_t(inst.imm))));
-    goto seq_tail;
-  h_andi:
-    thread.setReg(inst.rd, Word::fromInt(ra.bits() &
-                                         uint64_t(int64_t(inst.imm))));
-    goto seq_tail;
-  h_ori:
-    thread.setReg(inst.rd, Word::fromInt(ra.bits() |
-                                         uint64_t(int64_t(inst.imm))));
-    goto seq_tail;
-  h_xori:
-    thread.setReg(inst.rd, Word::fromInt(ra.bits() ^
-                                         uint64_t(int64_t(inst.imm))));
-    goto seq_tail;
-  h_shli:
-    thread.setReg(inst.rd,
-                  Word::fromInt(ra.bits()
-                                << (uint32_t(inst.imm) & 63)));
-    goto seq_tail;
-  h_shri:
-    thread.setReg(inst.rd,
-                  Word::fromInt(ra.bits() >>
-                                (uint32_t(inst.imm) & 63)));
-    goto seq_tail;
-  h_srai:
-    thread.setReg(inst.rd,
-                  Word::fromInt(uint64_t(
-                      int64_t(ra.bits()) >>
-                      (uint32_t(inst.imm) & 63))));
-    goto seq_tail;
-  h_movi:
-    thread.setReg(inst.rd, Word::fromInt(uint64_t(int64_t(inst.imm))));
-    goto seq_tail;
-  h_lui:
-    thread.setReg(inst.rd,
-                  Word::fromInt(uint64_t(uint32_t(inst.imm)) << 32));
-    goto seq_tail;
-  h_mov:
-    // Tag-preserving move: capabilities are freely copyable.
-    thread.setReg(inst.rd, ra);
-    goto seq_tail;
-  h_nop:
-    goto seq_tail;
-  h_getip:
-    thread.setReg(inst.rd, thread.ip());
-    goto seq_tail;
-
-  h_load: {
-      Word eptr = ra;
-      bool port_elide = true;
-      if (elide) {
-          if (inst.imm != 0) {
-              note_check(true);
-              eptr = gp::leaUnchecked(ra, int64_t(inst.imm));
-          }
-          note_check(true);
-      } else if (config_.elideChecks) {
-          // Keep the legacy split sequence under --elide-checks so
-          // the elide-accounting counters stay byte-identical.
-          if (inst.imm != 0) {
-              note_check(false);
-              auto r = gp::lea(ra, int64_t(inst.imm));
-              if (!r) {
-                  sb_fault(r.fault);
-                  return;
-              }
-              eptr = r.value;
-          }
-          note_check(false);
-          port_elide = false;
-      } else {
-          // Fused check+access: one permission decode covers the
-          // displacement LEA and the access check, and the port runs
-          // check-elided. Fault kinds and order are identical to the
-          // split sequence (see gp::leaCheckAccess).
-          auto r = gp::leaCheckAccess(ra, int64_t(inst.imm),
-                                      Access::Load, slot.size);
-          if (!r) {
-              sb_fault(r.fault);
-              return;
-          }
-          eptr = r.value;
-      }
-      const mem::MemAccess acc =
-          port_->portLoad(eptr, slot.size, ready_at, port_elide);
-      if (acc.deferred) {
-          readyMayHaveShrunk_ = true;
-          thread.park();
-          deferred_.push_back(
-              {acc.ticket, uint32_t(&thread - threads_.data()),
-               DeferredKind::Load, inst.rd, slot.size, 0, elide});
-          thread.clearSbCursor();
-          return;
-      }
-      if (acc.hang) {
-          thread.clearSbCursor();
-          thread.stallTo(UINT64_MAX);
-          (*hungAccesses_)++;
-          return;
-      }
-      if (acc.fault != Fault::None) {
-          sb_fault(acc.fault);
-          return;
-      }
-      thread.setReg(inst.rd, acc.data);
-      done = acc.completeCycle;
-      goto seq_tail;
-  }
-
-  h_store: {
-      Word eptr = ra;
-      bool port_elide = true;
-      if (elide) {
-          if (inst.imm != 0) {
-              note_check(true);
-              eptr = gp::leaUnchecked(ra, int64_t(inst.imm));
-          }
-          note_check(true);
-      } else if (config_.elideChecks) {
-          if (inst.imm != 0) {
-              note_check(false);
-              auto r = gp::lea(ra, int64_t(inst.imm));
-              if (!r) {
-                  sb_fault(r.fault);
-                  return;
-              }
-              eptr = r.value;
-          }
-          note_check(false);
-          port_elide = false;
-      } else {
-          auto r = gp::leaCheckAccess(ra, int64_t(inst.imm),
-                                      Access::Store, slot.size);
-          if (!r) {
-              sb_fault(r.fault);
-              return;
-          }
-          eptr = r.value;
-      }
-      const Word value = thread.reg(inst.rd);
-      const mem::MemAccess acc = port_->portStore(
-          eptr, value, slot.size, ready_at, port_elide);
-      if (acc.deferred) {
-          readyMayHaveShrunk_ = true;
-          thread.park();
-          deferred_.push_back(
-              {acc.ticket, uint32_t(&thread - threads_.data()),
-               DeferredKind::Store, 0, slot.size, eptr.addr(),
-               elide});
-          thread.clearSbCursor();
-          return;
-      }
-      if (acc.hang) {
-          thread.clearSbCursor();
-          thread.stallTo(UINT64_MAX);
-          (*hungAccesses_)++;
-          return;
-      }
-      if (acc.fault != Fault::None) {
-          sb_fault(acc.fault);
-          return;
-      }
-      // Store into a verified image voids every proof — mirror of
-      // execute()'s do_store (see the comment there).
-      {
-          const uint64_t sa = eptr.addr();
-          if (sa + slot.size > proofCoverLo_ && sa < proofCoverHi_) {
-              elideProofs_.clear();
-              proofCoverLo_ = UINT64_MAX;
-              proofCoverHi_ = 0;
-              proofsDirty_ = true;
-          }
-      }
-      done = acc.completeCycle;
-      goto seq_tail;
-  }
-
-  h_lea: {
-      if (elide) {
-          thread.setReg(inst.rd,
-                        gp::leaUnchecked(ra, int64_t(rb.bits())));
-          done = ready_at;
-          (*elideCyclesSaved_)++;
-          note_check(true);
-          goto seq_tail;
-      }
-      note_check(false);
-      auto r = gp::lea(ra, int64_t(rb.bits()));
-      if (!r) {
-          sb_fault(r.fault);
-          return;
-      }
-      thread.setReg(inst.rd, r.value);
-      goto seq_tail;
-  }
-  h_leai: {
-      if (elide) {
-          thread.setReg(inst.rd,
-                        gp::leaUnchecked(ra, int64_t(inst.imm)));
-          done = ready_at;
-          (*elideCyclesSaved_)++;
-          note_check(true);
-          goto seq_tail;
-      }
-      note_check(false);
-      auto r = gp::lea(ra, int64_t(inst.imm));
-      if (!r) {
-          sb_fault(r.fault);
-          return;
-      }
-      thread.setReg(inst.rd, r.value);
-      goto seq_tail;
-  }
-
-  // Branches compare rd and ra (assembler encoding) and always end
-  // the trace, so they exit through the full bounds-checked advance.
-  h_beq:
-    if (thread.reg(inst.rd) == ra)
-        branch_delta = 1 + int64_t(inst.imm);
-    goto exit_tail;
-  h_bne:
-    if (!(thread.reg(inst.rd) == ra))
-        branch_delta = 1 + int64_t(inst.imm);
-    goto exit_tail;
-  h_blt:
-    if (int64_t(thread.reg(inst.rd).bits()) < int64_t(ra.bits()))
-        branch_delta = 1 + int64_t(inst.imm);
-    goto exit_tail;
-  h_bge:
-    if (int64_t(thread.reg(inst.rd).bits()) >= int64_t(ra.bits()))
-        branch_delta = 1 + int64_t(inst.imm);
-    goto exit_tail;
-
-  h_generic: {
-      // Full-interpreter detour for the rare opcodes (and the
-      // JMP/HALT trace enders). The cursor drops first so execute()'s
-      // fault and control-flow handling runs unconstrained; it is
-      // re-attached only when execution provably stayed on the trace
-      // under the same execute pointer — a sequential advance
-      // preserves the pointer, whereas a JMP may land on the next
-      // trace address through a *different* pointer whose bounds the
-      // entry span proof says nothing about, and a recovered fault
-      // may resume at a handler-installed IP that merely coincides.
-      thread.clearSbCursor();
-      const size_t faults_before = faultLog_.size();
-      execute(thread, inst, ready_at, slot.verdict);
-      if (proofsDirty_) {
-          proofsDirty_ = false;
-          flushPredecode();
-      }
-      if (!last && inst.op != Op::JMP &&
-          faultLog_.size() == faults_before &&
-          thread.state() == ThreadState::Ready &&
-          thread.ip().addr() == b.entry + (uint64_t(pos) + 1) * 8)
-          thread.setSbCursor(b.entry, b.count, pos + 1, priv);
-      return;
-  }
-
-  seq_tail:
-    if (last)
-        goto exit_tail;
-    thread.retire();
-    note_check(elide);
-    // Intra-block sequential advance: entry verification proved
-    // entry + count*8 <= segmentLimit, so for a non-final slot the
-    // next IP is strictly inside the segment — the checked IP LEA
-    // cannot fire and the unchecked datapath is sound. (gp.op_lea is
-    // not bumped for it: documented drift, shared with elide mode.)
-    thread.setIp(gp::leaUnchecked(thread.ip(), 8));
-    thread.setSbPos(pos + 1);
-    thread.stallTo(done);
-    if (proofsDirty_) {
-        proofsDirty_ = false;
-        flushPredecode();
-    }
-    return;
-
-  exit_tail:
-    // Final slot (or a branch): the trace's one control-flow exit
-    // runs the full bounds-checked IP advance, exactly like the
-    // legacy retire tail — running or branching off the end of the
-    // code segment still faults here.
-    thread.retire();
-    note_check(elide);
-    thread.clearSbCursor();
-    if (advanceIp(thread, branch_delta, elide))
-        thread.stallTo(done);
-    if (proofsDirty_) {
-        proofsDirty_ = false;
-        flushPredecode();
-    }
-    return;
-}
-
-void
-Machine::recordSbStep(const Thread &thread, uint64_t ip_addr,
-                      uint64_t bits, const Inst &inst, uint8_t verdict)
-{
-    SbRecorder &r = sbRecorders_[&thread - threads_.data()];
-    if (!r.active || r.entry + uint64_t(r.count) * 8 != ip_addr) {
-        // Non-contiguous fetch (branch target, fault resume): the
-        // trace restarts here.
-        r.entry = ip_addr;
-        r.count = 0;
-        r.active = true;
-    }
-    SbSlot &s = r.slots[r.count++];
-    s.bits = bits;
-    s.inst = inst;
-    s.verdict = verdict;
-    s.handler = uint8_t(sbClassify(inst.op, s.size));
-    s.mixClass = uint8_t(instClass(inst.op));
-    if (sbEndsBlock(inst.op) || r.count == kSbMaxSlots) {
-        // Single-instruction traces are not worth the entry
-        // verification; require at least two slots.
-        if (r.count >= 2)
-            installSuperblock(r);
-        r.reset();
-    }
-}
-
-void
-Machine::installSuperblock(const SbRecorder &r)
-{
-    Superblock &b = superblocks_[(r.entry >> 3) & (kSbEntries - 1)];
-    b.entry = r.entry;
-    b.count = r.count;
-    for (uint32_t i = 0; i < r.count; ++i)
-        b.slots[i] = r.slots[i];
-    b.valid = true;
-    (*superblockInstalls_)++;
 }
 
 } // namespace gp::isa

@@ -28,7 +28,6 @@
 #include "gp/word.h"
 #include "isa/elide.h"
 #include "isa/inst.h"
-#include "isa/superblock.h"
 #include "isa/thread.h"
 #include "mem/fast_port.h"
 #include "mem/memory_system.h"
@@ -93,20 +92,6 @@ struct MachineConfig
      * default (false) keeps today's per-machine tick.
      */
     bool externalInjectorTick = false;
-
-    /**
-     * Superblock threaded dispatch (gpsim --superblocks): string
-     * predecoded instructions into straight-line traces and dispatch
-     * through them with computed-goto threading, fusing the
-     * guarded-pointer check+access hot path. Simulated cycles, fault
-     * behaviour, registers, and memory are byte-identical to the
-     * baseline interpreter — one instruction still issues per thread
-     * per cycle; only host-side dispatch/decode/check work is saved
-     * (docs/ARCHITECTURE.md "Threaded dispatch & superblocks"). Off
-     * by default; when off, the machine exposes exactly the counter
-     * set the blessed signatures were pinned to.
-     */
-    bool superblocks = false;
 
     /**
      * Functional-only execution (gpsim --fast): run instructions
@@ -294,7 +279,10 @@ class Machine
     /** Issue for one cluster in the current cycle. */
     void stepCluster(unsigned cluster);
 
-    /** Fetch, decode, and execute one instruction for a thread. */
+    /**
+     * Fetch, decode, and execute one instruction for a thread. The
+     * fetch runs check-elided while the thread holds an IP proof.
+     */
     void issueThread(Thread &thread);
 
     /**
@@ -305,57 +293,45 @@ class Machine
     void finishFetch(Thread &thread, const mem::MemAccess &f);
 
     /**
-     * Execute a decoded instruction whose fetch completed at ready_at.
-     * Updates registers, IP, and the thread's stall time. @param
-     * verdict is the instruction's baked elision verdict (0 = full
-     * checks).
+     * Observer hooks at the issue point (profiler record, trace hook,
+     * Exec trace event). Out of line: finishFetch() calls it only
+     * when some observer is attached.
      */
-    void execute(Thread &thread, const Inst &inst, uint64_t ready_at,
-                 uint8_t verdict);
+    void observeIssue(const Thread &thread, const Inst &inst,
+                      uint64_t fetch_done);
+
+    struct PredecodedInst;
 
     /**
-     * Superblock fast path for one issue slot: resume the thread's
-     * in-progress trace, or enter the trace cached at its IP after
-     * verifying execute rights and the whole trace span against the
-     * thread's own execute pointer. @return false when no valid
-     * trace applies (caller falls back to the legacy path, which
-     * also raises any fetch-check fault the verification declined to
-     * prove away). Never called when a trace hook, profiler, or
-     * trace sink needs per-instruction visibility.
+     * The dispatcher: execute a predecoded instruction whose fetch
+     * completed at ready_at, through the handler table indexed by
+     * its opcode. Updates registers, IP, and the thread's stall time.
      */
-    bool issueThreadSb(Thread &thread);
+    void execute(Thread &thread, const PredecodedInst &slot,
+                 uint64_t ready_at);
 
     /**
-     * Execute one slot of a superblock: performs the timed fetch
-     * (check elided under the entry span proof), revalidates the
-     * slot's raw bits against the fetched word — a mismatch
-     * invalidates the block and falls back to finishFetch() on the
-     * same fetch result — and dispatches the handler.
+     * Load/store handler: displacement LEA, access check, and the
+     * timed port access. @return false when the instruction must not
+     * retire (fault taken, hang, or parked on a split transaction).
      */
-    void execSbSlot(Thread &thread, Superblock &b);
+    bool memoryOp(Thread &thread, const PredecodedInst &slot,
+                  uint64_t ready_at, bool elide, uint64_t &done);
 
     /**
-     * Threaded dispatch of slot @p pos (computed goto, or a switch
-     * fallback under GP_NO_COMPUTED_GOTO). Semantics, counters, and
-     * timing mirror execute() + the finishFetch() tail exactly; the
-     * intra-block IP advance uses the unchecked LEA datapath, proven
-     * in-segment by the entry span verification.
+     * Elided/executed accounting for one elidable check event
+     * (pointer-op check, displacement LEA, access check, IP-advance
+     * LEA). Only paid under elideChecks mode, so both counters read 0
+     * in a baseline run; inline so that the test is all a baseline
+     * run pays per event.
      */
-    void executeSb(Thread &thread, Superblock &b, uint32_t pos,
-                   const SbSlot &slot, uint64_t ready_at);
-
-    /** Feed the per-thread trace recorder one legacy-path fetch;
-     * installs a superblock when a trace ends. */
-    void recordSbStep(const Thread &thread, uint64_t ip_addr,
-                      uint64_t bits, const Inst &inst,
-                      uint8_t verdict);
-
-    /** Install the recorder's finished trace (count >= 2). */
-    void installSuperblock(const SbRecorder &r);
-
-    /** Invalidate every superblock and reset all recorders (the
-     * block-level twin of flushPredecode(), called from it). */
-    void flushSuperblocks();
+    void
+    noteCheck(bool elided)
+    {
+        if (config_.elideChecks)
+            countCheck(elided);
+    }
+    void countCheck(bool elided);
 
     /** Record a fault on the thread and the machine fault log. */
     void faultThread(Thread &thread, Fault f);
@@ -377,11 +353,16 @@ class Machine
     /**
      * Advance IP sequentially / by a branch displacement.
      * @return false if the IP left its code segment (fault taken).
-     * elide skips the IP bounds check (the instruction's never-faults
-     * verdict covers every control-flow edge out of it).
+     * An in-segment advance keeps the thread's IP proof (see
+     * Thread::stepIp) and, while the proof holds, costs one masked
+     * compare instead of a pointer decode. elide skips the IP bounds
+     * check (the instruction's never-faults verdict covers every
+     * control-flow edge out of it) and voids the proof: the
+     * verifier's code segment need not be this thread's execute
+     * pointer's.
      */
-    bool advanceIp(Thread &thread, int64_t inst_delta,
-                   bool elide = false);
+    inline bool advanceIp(Thread &thread, int64_t inst_delta,
+                          bool elide = false);
 
     /**
      * Look up the elision verdict for the instruction at vaddr with
@@ -394,13 +375,14 @@ class Machine
     /**
      * One slot of the predecoded-instruction cache. The simulator
      * decodes each static instruction once and memoises the result,
-     * keyed by the fetch address. Correctness does not depend on
-     * explicit invalidation: decode is a pure function of the fetched
-     * 65-bit word, and each hit re-validates the stored raw bits
-     * against the word the (always-performed, timed) fetch returned —
-     * self-modifying code or a reloaded program simply misses and is
-     * re-decoded. Simulated timing is untouched; only host decode
-     * work is saved.
+     * keyed by the fetch address, together with everything the
+     * dispatcher would otherwise derive per execution. Correctness
+     * does not depend on explicit invalidation: decode is a pure
+     * function of the fetched 65-bit word, and each hit re-validates
+     * the stored raw bits against the word the (always-performed,
+     * timed) fetch returned — self-modifying code or a reloaded
+     * program simply misses and is re-decoded. Simulated timing is
+     * untouched; only host decode work is saved.
      */
     struct PredecodedInst
     {
@@ -413,6 +395,8 @@ class Machine
         /// mismatch re-decodes and re-derives the verdict, so
         /// self-modifying code re-arms checks automatically.
         uint8_t verdict = 0;
+        uint8_t size = 0;     //!< access bytes (loads/stores), else 0
+        uint8_t mixClass = 0; //!< retired-instruction mix class
     };
 
     /// Direct-mapped predecode-cache size; must be a power of two.
@@ -517,18 +501,6 @@ class Machine
     /// Direct-mapped predecoded-instruction cache, indexed by
     /// (vaddr >> 3) & (kPredecodeEntries - 1).
     std::vector<PredecodedInst> predecode_;
-
-    /// Superblock cache and per-thread trace recorders; sized only
-    /// when config_.superblocks is set (empty vectors otherwise, so
-    /// the feature costs one bool test per issue when off). The
-    /// superblock_* counters register under the same gate, keeping
-    /// the default-mode counter set — and every blessed signature —
-    /// untouched.
-    std::vector<Superblock> superblocks_;
-    std::vector<SbRecorder> sbRecorders_;
-    sim::Counter *superblockHits_ = nullptr;
-    sim::Counter *superblockInstalls_ = nullptr;
-    sim::Counter *superblockFlushes_ = nullptr;
 
     /// Outstanding split transactions (one per Pending thread, at
     /// most threads_.size() entries — linear lookup is fine).

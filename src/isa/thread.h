@@ -61,14 +61,53 @@ class Thread
         stallUntil_ = 0;
         instsRetired_ = 0;
         faultRecord_ = FaultRecord{};
-        clearSbCursor();
+        ipProven_ = false;
     }
 
     const Word &reg(unsigned i) const { return regs_[i]; }
     void setReg(unsigned i, Word w) { regs_[i] = w; }
 
     Word ip() const { return ip_; }
-    void setIp(Word ip) { ip_ = ip; }
+
+    /** Install an arbitrary IP (jump, fault handler): voids the IP
+     * proof, so the next fetch runs the full pointer check. */
+    void
+    setIp(Word ip)
+    {
+        ip_ = ip;
+        ipProven_ = false;
+    }
+
+    /**
+     * Move the IP by a multiple of 8 bytes within its segment (what a
+     * successful checked gp::lea produces). Only the address field
+     * changes and it stays inside the segment, so the IP proof
+     * survives.
+     */
+    void stepIp(Word next) { ip_ = next; }
+
+    // --- IP proof (microarchitectural, not architectural state): a
+    // fetch check passed on the current IP pointer, so it has the
+    // execute right, is 8-aligned, and its segment holds at least 8
+    // bytes. Those facts depend only on the pointer's permission and
+    // length fields plus the address's low bits and segment, which a
+    // stepIp() preserves — so checkAccess(ip, InstFetch, 8) cannot
+    // fire and the privilege bit cannot change until some other IP
+    // write (setIp, start, takeFault) voids the proof.
+    bool ipProven() const { return ipProven_; }
+    /** Privilege of the proven IP (valid only while ipProven()). */
+    bool ipPrivileged() const { return ipPrivileged_; }
+    /** gp::segmentMask of the proven IP's segment: an advance keeps
+     * the IP in-segment iff it changes none of these address bits
+     * (valid only while ipProven()). */
+    uint64_t ipSegmentMask() const { return ipSegmentMask_; }
+    void
+    proveIp(bool privileged, uint64_t segment_mask)
+    {
+        ipProven_ = true;
+        ipPrivileged_ = privileged;
+        ipSegmentMask_ = segment_mask;
+    }
 
     ThreadState state() const { return state_; }
     void halt() { state_ = ThreadState::Halted; }
@@ -79,6 +118,9 @@ class Thread
     {
         faultRecord_ = FaultRecord{f, ip_, cycle};
         state_ = ThreadState::Faulted;
+        // Whatever resumes the thread (handler Retry/Resume, a new
+        // start) re-proves its IP with a checked fetch.
+        ipProven_ = false;
     }
 
     /**
@@ -126,37 +168,6 @@ class Thread
     uint64_t instsRetired() const { return instsRetired_; }
     void retire() { instsRetired_++; }
 
-    // --- Superblock cursor (microarchitectural, not architectural
-    // state: it caches "this thread is part-way through the
-    // superblock entered at sbEntry_ — whose span of sbCount_ slots
-    // it verified against its own execute pointer — at slot sbPos_,
-    // with entry-verified privilege sbPriv_"). The machine
-    // revalidates entry/count against the cached block on every use,
-    // so a replaced or invalidated block is merely a missed fast
-    // path, never incorrect execution.
-    uint64_t sbEntry() const { return sbEntry_; }
-    uint32_t sbCount() const { return sbCount_; }
-    uint32_t sbPos() const { return sbPos_; }
-    bool sbPriv() const { return sbPriv_; }
-    void
-    setSbCursor(uint64_t entry, uint32_t count, uint32_t pos,
-                bool priv)
-    {
-        sbEntry_ = entry;
-        sbCount_ = count;
-        sbPos_ = pos;
-        sbPriv_ = priv;
-    }
-    void setSbPos(uint32_t pos) { sbPos_ = pos; }
-    void
-    clearSbCursor()
-    {
-        sbEntry_ = UINT64_MAX;
-        sbCount_ = 0;
-        sbPos_ = 0;
-        sbPriv_ = false;
-    }
-
   private:
     Word regs_[kNumRegs];
     Word ip_;
@@ -165,10 +176,9 @@ class Thread
     uint64_t instsRetired_ = 0;
     uint32_t id_ = 0;
     FaultRecord faultRecord_;
-    uint64_t sbEntry_ = UINT64_MAX; //!< superblock entry, or none
-    uint32_t sbCount_ = 0;          //!< span verified at entry
-    uint32_t sbPos_ = 0;            //!< next slot within the block
-    bool sbPriv_ = false;           //!< privilege verified at entry
+    bool ipProven_ = false;      //!< see ipProven()
+    bool ipPrivileged_ = false;  //!< privilege of the proven IP
+    uint64_t ipSegmentMask_ = 0; //!< segment mask of the proven IP
 };
 
 } // namespace gp::isa

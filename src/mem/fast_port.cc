@@ -7,7 +7,7 @@ FastPort::resolve(Word ptr, gp::Access kind, unsigned size,
                   bool elide_check, MemAccess &acc, uint64_t *paddr)
 {
     // Same pre-issue pointer check as the timed path's timedAccess(),
-    // with the same elision contract (verifier/superblock proofs).
+    // with the same elision contract (verifier and IP proofs).
     if (!elide_check) {
         acc.fault = gp::checkAccess(ptr, kind, size);
         if (acc.fault != Fault::None)

@@ -12,7 +12,7 @@
  * the --fast firewall: the mode exists for fault-free functional
  * campaigns and the differential harness, and must never feed a
  * timing bench or a blessed deterministic signature
- * (docs/ARCHITECTURE.md "Threaded dispatch & superblocks").
+ * (docs/ARCHITECTURE.md "Dispatch").
  *
  * Deliberately unsupported (the Machine fast-mode ctor enforces):
  * ECC modes (their detection behaviour is timing-path state) and an

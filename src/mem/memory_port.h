@@ -46,9 +46,9 @@ class MemoryPort
      * Timed instruction fetch. elide_check skips the per-fetch
      * guarded-pointer check: legal only when the caller has already
      * proven execute rights and bounds for the fetch address (the
-     * superblock engine verifies a whole trace's span at block entry;
-     * see docs/ARCHITECTURE.md "Threaded dispatch & superblocks").
-     * Timing, translation, and fault behaviour are unchanged.
+     * machine's per-thread IP proof; see docs/ARCHITECTURE.md
+     * "Dispatch"). Timing, translation, and fault behaviour are
+     * unchanged.
      */
     virtual MemAccess portFetch(Word ip, uint64_t now,
                                 bool elide_check = false) = 0;

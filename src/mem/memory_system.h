@@ -115,8 +115,8 @@ class MemorySystem : public MemoryPort
                     uint64_t now = 0, bool elide_check = false);
 
     /** Timed instruction fetch (requires execute permission);
-     * elide_check skips the per-fetch pointer check under a caller's
-     * span proof (superblock entry verification). */
+     * elide_check skips the per-fetch pointer check while the caller
+     * holds an IP proof (isa::Thread::ipProven). */
     MemAccess fetch(Word ip, uint64_t now = 0,
                     bool elide_check = false);
 

@@ -202,8 +202,8 @@ class NodeMemory : public mem::MemoryPort
                          uint64_t now = 0, bool elide_check = false);
 
     /** Timed instruction fetch (local or remote code!); elide_check
-     * skips the per-fetch pointer check under a caller's span proof
-     * (superblock entry verification). */
+     * skips the per-fetch pointer check while the caller holds an IP
+     * proof (isa::Thread::ipProven). */
     mem::MemAccess fetch(Word ip, uint64_t now = 0,
                          bool elide_check = false);
 

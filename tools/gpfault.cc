@@ -33,11 +33,15 @@
  * value — CI cross-checks --threads 1 against --threads 4.
  */
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
 
+#include "cli_number.h"
 #include "fault/campaign.h"
 #include "fault/mesh_campaign.h"
 #include "mem/ecc.h"
@@ -46,6 +50,7 @@
 #include "sim/stats_registry.h"
 
 using namespace gp;
+using gp::tools::numberArg;
 
 namespace {
 
@@ -122,8 +127,21 @@ parseRate(const std::string &spec, sim::FaultConfig &fc)
                      name.c_str());
         return false;
     }
-    fc.rate[static_cast<unsigned>(site)] =
-        std::stod(spec.substr(eq + 1));
+    // Checked like every numeric flag (cli_number.h): the whole value
+    // must parse, as a finite non-negative rate.
+    const std::string text = spec.substr(eq + 1);
+    errno = 0;
+    char *end = nullptr;
+    const double rate = std::strtod(text.c_str(), &end);
+    if (text.empty() || errno == ERANGE ||
+        end != text.c_str() + text.size() || !(rate >= 0) ||
+        !std::isfinite(rate)) {
+        std::fprintf(stderr, "gpfault: bad rate for '%s': '%s' (want "
+                             "a finite number >= 0)\n",
+                     name.c_str(), text.c_str());
+        std::exit(2);
+    }
+    fc.rate[static_cast<unsigned>(site)] = rate;
     return true;
 }
 
@@ -175,30 +193,35 @@ parseArgs(int argc, char **argv, Options &opts, bool &exitEarly)
             continue;
         }
         if (valueOf("--runs", value)) {
-            opts.campaign.runs = unsigned(std::stoul(value));
+            opts.campaign.runs =
+                unsigned(numberArg("gpfault", "--runs", value, UINT32_MAX));
             opts.meshCampaign.runs = opts.campaign.runs;
             continue;
         }
         if (valueOf("--seed", value)) {
-            opts.campaign.seed = std::stoull(value);
+            opts.campaign.seed = numberArg("gpfault", "--seed", value);
             opts.meshCampaign.seed = opts.campaign.seed;
             continue;
         }
         if (valueOf("--iterations", value)) {
-            opts.campaign.iterations = std::stoull(value);
+            opts.campaign.iterations =
+                numberArg("gpfault", "--iterations", value);
             opts.meshCampaign.iterations = opts.campaign.iterations;
             continue;
         }
         if (valueOf("--walk-retries", value)) {
-            opts.campaign.walkRetries = unsigned(std::stoul(value));
+            opts.campaign.walkRetries = unsigned(numberArg(
+                "gpfault", "--walk-retries", value, UINT32_MAX));
             continue;
         }
         if (valueOf("--burst-max-bits", value)) {
-            opts.campaign.faults.burstMaxBits = std::stoull(value);
+            opts.campaign.faults.burstMaxBits =
+                numberArg("gpfault", "--burst-max-bits", value);
             continue;
         }
         if (valueOf("--watchdog-cycles", value)) {
-            opts.campaign.watchdogCycles = std::stoull(value);
+            opts.campaign.watchdogCycles =
+                numberArg("gpfault", "--watchdog-cycles", value);
             continue;
         }
         if (valueOf("--stats-json", value)) {
@@ -228,17 +251,18 @@ parseArgs(int argc, char **argv, Options &opts, bool &exitEarly)
             continue;
         }
         if (valueOf("--threads", value)) {
-            opts.meshCampaign.hostThreads =
-                unsigned(std::stoul(value));
+            opts.meshCampaign.hostThreads = unsigned(
+                numberArg("gpfault", "--threads", value, UINT32_MAX));
             continue;
         }
         if (valueOf("--max-cycles", value)) {
-            opts.meshCampaign.maxCycles = std::stoull(value);
+            opts.meshCampaign.maxCycles =
+                numberArg("gpfault", "--max-cycles", value);
             continue;
         }
         if (valueOf("--mesh-watchdog", value)) {
             opts.meshCampaign.meshWatchdogCycles =
-                std::stoull(value);
+                numberArg("gpfault", "--mesh-watchdog", value);
             continue;
         }
         if (arg == "--no-retrans") {

@@ -31,6 +31,7 @@
 #include <sstream>
 #include <string>
 
+#include "cli_number.h"
 #include "gp/ops.h"
 #include "isa/assembler.h"
 #include "isa/elide.h"
@@ -45,6 +46,7 @@
 #include "verify/verifier.h"
 
 using namespace gp;
+using gp::tools::numberArg;
 
 namespace {
 
@@ -78,7 +80,6 @@ struct Options
     bool profile = false;         //!< arm the cycle profiler
     sim::ProfileConfig profileConfig; //!< aggregation modes
     std::string profileOut;       //!< gpprof JSON export path
-    bool superblocks = false;     //!< threaded superblock dispatch
     bool fastMode = false;        //!< functional-only memory port
 };
 
@@ -114,16 +115,11 @@ usage(const char *argv0)
         "  --walk-retries N retry transient page-walk failures up to\n"
         "                   N times (default 0)\n"
         "  --privileged     load as privileged code\n"
-        "  --superblocks    cache straight-line traces over the\n"
-        "                   predecoded stream and run them through\n"
-        "                   the threaded-code dispatcher (identical\n"
-        "                   cycles, faults, and results; faster host\n"
-        "                   execution)\n"
         "  --fast           functional-only mode: skip the timing\n"
-        "                   model entirely (implies --superblocks;\n"
-        "                   identical registers, faults, and memory,\n"
-        "                   but no cycle accounting — never use for\n"
-        "                   timing measurements)\n"
+        "                   model entirely (identical registers,\n"
+        "                   faults, and memory, but no cycle\n"
+        "                   accounting — never use for timing\n"
+        "                   measurements)\n"
         "  --verify[=strict] statically verify capability safety\n"
         "                   before running; abort on errors (strict:\n"
         "                   abort on warnings too)\n"
@@ -199,7 +195,8 @@ parseArgs(int argc, char **argv, Options &opts)
             continue;
         }
         if (valueOf("--walk-retries", value)) {
-            opts.walkRetries = unsigned(std::stoul(value));
+            opts.walkRetries = unsigned(
+                numberArg("gpsim", "--walk-retries", value, UINT32_MAX));
             continue;
         }
         if (arg == "--verify" || arg == "--verify=strict") {
@@ -239,11 +236,13 @@ parseArgs(int argc, char **argv, Options &opts)
             continue;
         }
         if (valueOf("--flight-recorder", value)) {
-            opts.flightRecorder = std::stoull(value);
+            opts.flightRecorder =
+                numberArg("gpsim", "--flight-recorder", value, SIZE_MAX);
             continue;
         }
         if (valueOf("--mesh-watchdog", value)) {
-            opts.meshWatchdog = std::stoull(value);
+            opts.meshWatchdog =
+                numberArg("gpsim", "--mesh-watchdog", value);
             continue;
         }
         if (valueOf("--stats-json", value)) {
@@ -286,7 +285,8 @@ parseArgs(int argc, char **argv, Options &opts)
             continue;
         }
         if (valueOf("--profile-interval", value)) {
-            opts.profileConfig.intervalCycles = std::stoull(value);
+            opts.profileConfig.intervalCycles =
+                numberArg("gpsim", "--profile-interval", value);
             opts.profileIntervalSet = true;
             continue;
         }
@@ -308,46 +308,47 @@ parseArgs(int argc, char **argv, Options &opts)
             continue;
         }
         if (valueOf("--epoch-horizon", value)) {
-            opts.epochHorizon = std::stoull(value);
+            opts.epochHorizon =
+                numberArg("gpsim", "--epoch-horizon", value);
             continue;
         }
         if (arg == "--threads") {
             const char *v = next();
             if (!v)
                 return false;
-            opts.threads = unsigned(std::stoul(v));
+            opts.threads =
+                unsigned(numberArg("gpsim", "--threads", v, UINT32_MAX));
             opts.threadsSet = true;
         } else if (arg == "--data") {
             const char *v = next();
             if (!v)
                 return false;
-            opts.dataBytes = std::stoull(v);
+            opts.dataBytes = numberArg("gpsim", "--data", v);
         } else if (arg == "--clusters") {
             const char *v = next();
             if (!v)
                 return false;
-            opts.clusters = unsigned(std::stoul(v));
+            opts.clusters =
+                unsigned(numberArg("gpsim", "--clusters", v, UINT32_MAX));
         } else if (arg == "--issue-width") {
             const char *v = next();
             if (!v)
                 return false;
-            opts.issueWidth = unsigned(std::stoul(v));
+            opts.issueWidth = unsigned(
+                numberArg("gpsim", "--issue-width", v, UINT32_MAX));
         } else if (arg == "--max-cycles") {
             const char *v = next();
             if (!v)
                 return false;
-            opts.maxCycles = std::stoull(v);
+            opts.maxCycles = numberArg("gpsim", "--max-cycles", v);
         } else if (arg == "--dump-regs") {
             opts.dumpRegs = true;
         } else if (arg == "--dump-stats") {
             opts.dumpStats = true;
         } else if (arg == "--privileged") {
             opts.privileged = true;
-        } else if (arg == "--superblocks") {
-            opts.superblocks = true;
         } else if (arg == "--fast") {
             opts.fastMode = true;
-            opts.superblocks = true;
         } else {
             std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
             return false;
@@ -389,9 +390,6 @@ validateOptions(const Options &opts)
             return "--fast cannot model ECC (storage-cycle timing); "
                    "drop --fast or use --ecc=off";
     }
-    if (opts.superblocks && opts.mesh)
-        return "--superblocks is not mesh-aware yet; drop one of "
-               "the two flags";
     if (opts.mesh) {
         // The verifier pipeline is single-machine: it assumes one
         // Machine owns the process-wide singleton state, which a
@@ -604,7 +602,6 @@ main(int argc, char **argv)
     kcfg.machine.clusters = opts.clusters;
     kcfg.machine.issueWidth = opts.issueWidth;
     kcfg.machine.elideChecks = opts.elideChecks;
-    kcfg.machine.superblocks = opts.superblocks;
     kcfg.machine.fastMode = opts.fastMode;
     kcfg.machine.mem.ecc = opts.ecc;
     kcfg.machine.mem.walkRetries = opts.walkRetries;

@@ -23,11 +23,13 @@
 #include <sstream>
 #include <string>
 
+#include "cli_number.h"
 #include "isa/assembler.h"
 #include "isa/elide.h"
 #include "verify/verifier.h"
 
 using namespace gp;
+using gp::tools::numberArg;
 
 namespace {
 
@@ -79,7 +81,7 @@ parseArgs(int argc, char **argv, Options &opts)
         } else if (arg == "--data") {
             if (i + 1 >= argc)
                 return false;
-            opts.dataBytes = std::stoull(argv[++i]);
+            opts.dataBytes = numberArg("gpverify", "--data", argv[++i]);
         } else if (arg == "--emit-proofs") {
             if (i + 1 >= argc)
                 return false;
@@ -89,7 +91,8 @@ parseArgs(int argc, char **argv, Options &opts)
         } else if (arg == "--base") {
             if (i + 1 >= argc)
                 return false;
-            opts.base = std::stoull(argv[++i], nullptr, 0);
+            opts.base =
+                numberArg("gpverify", "--base", argv[++i], UINT64_MAX, 0);
         } else {
             std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
             return false;

@@ -84,11 +84,10 @@ if [ -n "$elideviol" ]; then
     echo "verdict byte, never proofVerdict()/elideProofs_." >&2
     exit 1
 fi
-# Threaded-dispatch discipline (docs/ARCHITECTURE.md, "Threaded
-# dispatch & superblocks"): the superblock dispatch loop exists to
-# strip per-instruction host overhead, so a string-keyed lookup
-# inside it — StatGroup::get("name") included — defeats the whole
-# engine one map probe at a time. The hot trees must read counters
+# Dispatch discipline (docs/ARCHITECTURE.md, "Dispatch"): the
+# dispatcher runs once per simulated instruction, so a string-keyed
+# lookup inside it — StatGroup::get("name") included — costs one map
+# probe per instruction. The hot trees must read counters
 # through cached handles everywhere; genuinely cold uses (once-per-run
 # exports and the like) carry an explicit
 # `// statgroup-get: cold path` annotation on the same line.

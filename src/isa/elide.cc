@@ -1,5 +1,6 @@
 #include "isa/elide.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <sstream>
@@ -88,8 +89,9 @@ parseProof(std::string_view text, ElideProof &out, std::string *error)
     proof.privileged = privileged != 0;
     if (!(in >> keyword >> insts) || keyword != "insts")
         return fail(error, "gpproof: missing insts line");
-    proof.bits.reserve(insts);
-    proof.verdicts.reserve(insts);
+    // The count is input: reserve no more than the text can hold.
+    proof.bits.reserve(std::min(insts, text.size()));
+    proof.verdicts.reserve(std::min(insts, text.size()));
     for (size_t i = 0; i < insts; ++i) {
         size_t index = 0;
         uint64_t raw = 0;

@@ -124,11 +124,8 @@ Machine::Machine(const MachineConfig &config)
     if (config_.fastMode) {
         // Functional-only execution: swap the timed memory system for
         // the zero-latency FastPort over the same functional memory.
-        // Modes whose behaviour lives in the timing path cannot be
-        // modelled here — refuse loudly rather than diverge silently.
-        if (config_.mem.ecc != mem::EccMode::None)
-            sim::fatal("fast mode is functional-only and cannot "
-                       "model ECC");
+        // An armed campaign's draws are cycle-ordered, so it cannot
+        // run here — refuse loudly rather than diverge silently.
         if (sim::FaultInjector::armed())
             sim::fatal("fast mode cannot run under an armed fault "
                        "campaign (draw order is cycle-accurate)");
@@ -192,6 +189,7 @@ void
 Machine::flushPredecode()
 {
     predecode_.assign(kPredecodeEntries, PredecodedInst{});
+    proofsDirty_ = false;
 }
 
 void
@@ -211,7 +209,6 @@ Machine::clearElideProofs()
     elideProofs_.clear();
     proofCoverLo_ = UINT64_MAX;
     proofCoverHi_ = 0;
-    proofsDirty_ = false;
     flushPredecode();
 }
 
@@ -502,7 +499,7 @@ Machine::stepCluster(unsigned cluster)
             // protection domain) is already open.
             if (sim::Profiler::armed() && issued == 0)
                 sim::Profiler::instance().attrIssue(
-                    unsigned(&t - threads_.data()));
+                    profSlot(t));
             issued++;
         }
     }
@@ -536,7 +533,8 @@ Machine::stepCluster(unsigned cluster)
                         blocking = base + s;
                     }
                 }
-                sim::Profiler::instance().attrStall(blocking, cycle_);
+                sim::Profiler::instance().attrStall(
+                    profSlotBase_ + blocking, cycle_);
             }
         }
     }
@@ -578,7 +576,7 @@ Machine::faultThread(Thread &thread, Fault f)
             // The thread's next stall window is handler latency.
             if (sim::Profiler::armed())
                 sim::Profiler::instance().noteTrap(
-                    unsigned(&thread - threads_.data()), cycle_,
+                    profSlot(thread), cycle_,
                     config_.faultTrapCycles);
             break;
         }
@@ -663,13 +661,18 @@ Machine::finishFetch(Thread &thread, const mem::MemAccess &f)
         (*hungAccesses_)++;
         if (sim::Profiler::armed())
             sim::Profiler::instance().noteHang(
-                unsigned(&thread - threads_.data()), cycle_);
+                profSlot(thread), cycle_);
         return;
     }
     if (f.fault != Fault::None) {
         faultThread(thread, f.fault);
         return;
     }
+    // A store into a verified image dropped the proofs: purge the
+    // baked verdicts before this instruction's decode lookup.
+    if (proofsDirty_)
+        flushPredecode();
+
     // The fetch check passed (or was already proven): the IP proof
     // holds from here until the next IP write that is not an
     // in-segment sequential/branch advance. The pointer decode runs
@@ -721,13 +724,6 @@ Machine::finishFetch(Thread &thread, const mem::MemAccess &f)
     execute(thread, slot, f.completeCycle);
     (*instructions_)++;
     (*mix_[mix])++;
-    if (proofsDirty_) {
-        // A store into a verified image dropped the proofs mid-execute;
-        // now that nothing aliases the predecode array, purge the
-        // baked verdicts before the next instruction can issue.
-        proofsDirty_ = false;
-        flushPredecode();
-    }
 }
 
 void
@@ -739,7 +735,7 @@ Machine::observeIssue(const Thread &thread, const Inst &inst,
         // Open the instruction's occupancy record at the issue cycle;
         // the IP's segment is the thread's protection-domain identity.
         // The fetch's scratch timeline covers [issue, fetch-complete).
-        const unsigned ti = unsigned(&thread - threads_.data());
+        const unsigned ti = profSlot(thread);
         const gp::PointerView ipv(thread.ip());
         auto &prof = sim::Profiler::instance();
         prof.beginInst(ti, cycle_, ip_addr, ipv.segmentBase(),
@@ -774,7 +770,6 @@ Machine::memoryOp(Thread &thread, const PredecodedInst &slot,
 {
     const Inst &inst = slot.inst;
     const bool is_store = inst.op >= Op::ST;
-    const uint32_t ti = uint32_t(&thread - threads_.data());
 
     // Displacement-addressed operand: derive the effective pointer
     // with a bounds-checked LEA (paper §2.2, Load/Store) and run the
@@ -812,12 +807,22 @@ Machine::memoryOp(Thread &thread, const PredecodedInst &slot,
         readyMayHaveShrunk_ = true;
         thread.park();
         deferred_.push_back(
-            {acc.ticket, ti,
+            {acc.ticket, uint32_t(&thread - threads_.data()),
              is_store ? DeferredKind::Store : DeferredKind::Load,
-             is_store ? uint8_t(0) : inst.rd, slot.size,
-             is_store ? ptr.addr() : 0, elide});
+             inst.rd, slot.size, ptr.addr(), elide});
         return false;
     }
+    done = acc.completeCycle;
+    return finishAccess(thread, acc, is_store, inst.rd, ptr.addr(),
+                        slot.size);
+}
+
+bool
+Machine::finishAccess(Thread &thread, const mem::MemAccess &acc,
+                      bool is_store, uint8_t rd, uint64_t addr,
+                      unsigned size)
+{
+    const unsigned ti = profSlot(thread);
     if (acc.hang) {
         thread.stallTo(UINT64_MAX);
         (*hungAccesses_)++;
@@ -830,24 +835,22 @@ Machine::memoryOp(Thread &thread, const PredecodedInst &slot,
         return false;
     }
     if (!is_store) {
-        thread.setReg(inst.rd, acc.data);
-    } else {
+        thread.setReg(rd, acc.data);
+    } else if (addr + size > proofCoverLo_ && addr < proofCoverHi_) {
         // A store landing inside a verified image voids every proof:
         // rewriting one instruction can invalidate verdicts at other
         // instructions whose own bits are unchanged (safety facts
         // flow through dataflow). Two compares per store; fires
-        // ~never.
-        const uint64_t sa = ptr.addr();
-        if (sa + slot.size > proofCoverLo_ && sa < proofCoverHi_) {
-            elideProofs_.clear();
-            proofCoverLo_ = UINT64_MAX;
-            proofCoverHi_ = 0;
-            proofsDirty_ = true; // flush deferred: slot is aliased
-        }
+        // ~never. The predecode flush waits for the next decode
+        // lookup: the executing instruction may alias the array.
+        elideProofs_.clear();
+        proofCoverLo_ = UINT64_MAX;
+        proofCoverHi_ = 0;
+        proofsDirty_ = true;
     }
-    done = acc.completeCycle;
     if (sim::Profiler::armed())
-        sim::Profiler::instance().flushAccess(ti, done - ready_at);
+        sim::Profiler::instance().flushAccess(
+            ti, acc.completeCycle - acc.startCycle);
     return true;
 }
 
@@ -896,7 +899,7 @@ Machine::execute(Thread &thread, const PredecodedInst &slot,
         readyMayHaveShrunk_ = true;
         if (sim::Profiler::armed())
             sim::Profiler::instance().endInst(
-                unsigned(&thread - threads_.data()), ready_at + 1,
+                profSlot(thread), ready_at + 1,
                 sim::ProfComp::Compute);
         return;
 
@@ -1069,7 +1072,7 @@ Machine::execute(Thread &thread, const PredecodedInst &slot,
         thread.stallTo(ready_at + 1);
         if (sim::Profiler::armed())
             sim::Profiler::instance().endInst(
-                unsigned(&thread - threads_.data()), ready_at + 1,
+                profSlot(thread), ready_at + 1,
                 gate_crossing ? sim::ProfComp::Gate
                               : sim::ProfComp::Compute);
         return;
@@ -1120,20 +1123,26 @@ Machine::execute(Thread &thread, const PredecodedInst &slot,
         }
     }
 
+    // Execute-tail component: pointer-manipulation ops are the
+    // capability check/decode work that actually costs cycles — the
+    // explicit "check" CPI slice. Everything else is compute.
+    retireInst(thread, branch_delta, elide, done,
+               slot.mixClass == ClassPointer ? sim::ProfComp::Check
+                                             : sim::ProfComp::Compute);
+}
+
+void
+Machine::retireInst(Thread &thread, int64_t branch_delta, bool elide,
+                    uint64_t done, sim::ProfComp tail)
+{
     thread.retire();
     noteCheck(elide);
     if (!advanceIp(thread, branch_delta, elide))
         return;
     thread.stallTo(done);
-    if (sim::Profiler::armed()) {
-        // Execute-tail component: pointer-manipulation ops are the
-        // capability check/decode work that actually costs cycles —
-        // the explicit "check" CPI slice. Everything else is compute.
+    if (sim::Profiler::armed())
         sim::Profiler::instance().endInst(
-            unsigned(&thread - threads_.data()), done,
-            slot.mixClass == ClassPointer ? sim::ProfComp::Check
-                                          : sim::ProfComp::Compute);
-    }
+            profSlot(thread), done, tail);
 }
 
 void
@@ -1169,44 +1178,13 @@ Machine::completeDeferred(uint64_t ticket, const mem::MemAccess &acc)
         finishFetch(thread, acc);
         return;
     }
-
-    // The load/store completion tail, mirroring do_load/do_store and
-    // the retire tail of execute() exactly (the issue-side work —
-    // pointer check, note_check, instruction counters — already ran
-    // before the park).
-    if (acc.hang) {
-        thread.stallTo(UINT64_MAX);
-        (*hungAccesses_)++;
-        return;
-    }
-    if (acc.fault != Fault::None) {
-        faultThread(thread, acc.fault);
-        return;
-    }
-    if (rec.kind == DeferredKind::Load) {
-        thread.setReg(rec.rd, acc.data);
-    } else {
-        // Store proof-cover invalidation, mirroring do_store. Nothing
-        // aliases the predecode array at the barrier, so the flush
-        // runs immediately instead of via proofsDirty_.
-        const uint64_t sa = rec.storeAddr;
-        if (sa + rec.size > proofCoverLo_ && sa < proofCoverHi_) {
-            elideProofs_.clear();
-            proofCoverLo_ = UINT64_MAX;
-            proofCoverHi_ = 0;
-            flushPredecode();
-        }
-    }
-    thread.retire();
-    if (config_.elideChecks) {
-        if (rec.elide)
-            (*elideChecksElided_)++;
-        else
-            (*elideChecksExecuted_)++;
-    }
-    if (!advanceIp(thread, 1, rec.elide))
-        return;
-    thread.stallTo(acc.completeCycle);
+    // The same post-access and retire tails as the synchronous path;
+    // the issue-side work (pointer check, check accounting,
+    // instruction counters) already ran before the park.
+    const bool is_store = rec.kind == DeferredKind::Store;
+    if (finishAccess(thread, acc, is_store, rec.rd, rec.addr, rec.size))
+        retireInst(thread, 1, rec.elide, acc.completeCycle,
+                   sim::ProfComp::Compute);
 }
 
 } // namespace gp::isa

@@ -31,6 +31,7 @@
 #include "isa/thread.h"
 #include "mem/fast_port.h"
 #include "mem/memory_system.h"
+#include "sim/profile.h"
 #include "sim/stats.h"
 
 namespace gp::isa {
@@ -100,8 +101,9 @@ struct MachineConfig
      * are identical to a timed run; simulated cycle counts are
      * meaningless and must never be compared against timing baselines
      * — the mode exists for campaigns over program *behaviour* and
-     * the differential harness. Requires the owning constructor, no
-     * ECC, and an unarmed FaultInjector (enforced fatally).
+     * the differential harness. Composes with every ECC mode.
+     * Requires the owning constructor and an unarmed FaultInjector
+     * (enforced fatally).
      */
     bool fastMode = false;
 };
@@ -173,10 +175,10 @@ class Machine
     /**
      * Deliver the outcome of a deferred cross-shard access (sharded
      * mesh engine, epoch barrier). Finds the parked instruction by
-     * @p ticket, unparks its thread, and runs exactly the completion
-     * tail the synchronous path would have run: register writeback /
-     * store proof-cover invalidation, retire, IP advance, stall to
-     * the access's completion cycle — or the fault/hang handling.
+     * @p ticket, unparks its thread, and finishes the instruction
+     * through the same functions as the synchronous path: the fetch
+     * tail (finishFetch), or the post-access tail (finishAccess) and
+     * the retire tail (retireInst).
      */
     void completeDeferred(uint64_t ticket, const mem::MemAccess &acc);
 
@@ -201,6 +203,14 @@ class Machine
      * already fired.
      */
     void forceWatchdogTrip(const char *why);
+
+    /**
+     * Place this machine's thread slots at @p base in the
+     * process-wide profiler's slot space (default 0). The sharded
+     * mesh gives every node its own range, so one armed profiler
+     * keeps a separate record per node's thread.
+     */
+    void setProfileSlotBase(unsigned base) { profSlotBase_ = base; }
 
     /** @return true once either watchdog has fired. */
     bool watchdogTripped() const { return watchdogTripped_; }
@@ -319,6 +329,28 @@ class Machine
                   uint64_t ready_at, bool elide, uint64_t &done);
 
     /**
+     * Post-access tail of a load/store, shared by memoryOp() and
+     * completeDeferred(): hang or fault handling, register writeback
+     * (loads, into @p rd), the proof drop of a store into a verified
+     * image (stores, at @p addr), and the profiler's fold of the
+     * access timeline. @return false when the instruction must not
+     * retire.
+     */
+    bool finishAccess(Thread &thread, const mem::MemAccess &acc,
+                      bool is_store, uint8_t rd, uint64_t addr,
+                      unsigned size);
+
+    /**
+     * Retire tail of every instruction that completes normally,
+     * shared by execute() and completeDeferred(): retire, IP advance
+     * by @p branch_delta instructions (elided under @p elide), stall
+     * to @p done, and close the profiler record with @p tail as the
+     * execute-tail component.
+     */
+    void retireInst(Thread &thread, int64_t branch_delta, bool elide,
+                    uint64_t done, sim::ProfComp tail);
+
+    /**
      * Elided/executed accounting for one elidable check event
      * (pointer-op check, displacement LEA, access check, IP-advance
      * LEA). Only paid under elideChecks mode, so both counters read 0
@@ -332,6 +364,13 @@ class Machine
             countCheck(elided);
     }
     void countCheck(bool elided);
+
+    /** The profiler slot of one of this machine's threads. */
+    unsigned
+    profSlot(const Thread &thread) const
+    {
+        return profSlotBase_ + unsigned(&thread - threads_.data());
+    }
 
     /** Record a fault on the thread and the machine fault log. */
     void faultThread(Thread &thread, Fault f);
@@ -421,8 +460,8 @@ class Machine
         uint32_t threadIndex = 0; //!< index into threads_
         DeferredKind kind = DeferredKind::Fetch;
         uint8_t rd = 0;           //!< destination register (loads)
-        unsigned size = 0;        //!< access size (stores)
-        uint64_t storeAddr = 0;   //!< effective address (stores)
+        unsigned size = 0;        //!< access size
+        uint64_t addr = 0;        //!< effective address
         bool elide = false;       //!< check-elision state at issue
         /// Completion will never arrive (markDeferredOrphans): the
         /// park no longer vetoes the quiescence watchdog.
@@ -439,6 +478,7 @@ class Machine
     std::vector<unsigned> rrNext_; //!< per-cluster round-robin cursor
     uint64_t cycle_ = 0;
     uint32_t nextThreadId_ = 0;
+    unsigned profSlotBase_ = 0; //!< see setProfileSlotBase()
     bool watchdogTripped_ = false;
     /// Set by any path in which a thread may leave the Ready state
     /// (halt, fault, watchdog, software fault handler); run() only
@@ -493,9 +533,9 @@ class Machine
     uint64_t proofCoverLo_ = UINT64_MAX;
     uint64_t proofCoverHi_ = 0;
 
-    /// Proofs were dropped while execute() had a decoded instruction
-    /// aliasing the predecode array; issueThread flushes the baked
-    /// verdicts as soon as the instruction retires.
+    /// Proofs were dropped by a store (possibly while execute() had a
+    /// decoded instruction aliasing the predecode array); finishFetch
+    /// flushes the baked verdicts before its next decode lookup.
     bool proofsDirty_ = false;
 
     /// Direct-mapped predecoded-instruction cache, indexed by

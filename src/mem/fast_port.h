@@ -14,9 +14,12 @@
  * timing bench or a blessed deterministic signature
  * (docs/ARCHITECTURE.md "Dispatch").
  *
- * Deliberately unsupported (the Machine fast-mode ctor enforces):
- * ECC modes (their detection behaviour is timing-path state) and an
- * armed FaultInjector (campaign draws are cycle-ordered).
+ * Data goes through the same TaggedMemory::access() step as the
+ * timed ports, so ECC modes behave identically (corrections are
+ * counted by the TaggedMemory, a detected error faults
+ * MemoryIntegrity). Deliberately unsupported (the Machine fast-mode
+ * ctor enforces): an armed FaultInjector (campaign draws are
+ * cycle-ordered).
  */
 
 #ifndef GP_MEM_FAST_PORT_H
@@ -33,21 +36,33 @@ class FastPort : public MemoryPort
   public:
     explicit FastPort(MemorySystem &mem) : mem_(mem) {}
 
-    MemAccess portLoad(Word ptr, unsigned size, uint64_t now,
-                       bool elide_check = false) override;
-    MemAccess portStore(Word ptr, Word value, unsigned size,
-                        uint64_t now,
-                        bool elide_check = false) override;
-    MemAccess portFetch(Word ip, uint64_t now,
-                        bool elide_check = false) override;
+    MemAccess
+    portLoad(Word ptr, unsigned size, uint64_t now,
+             bool elide_check = false) override
+    {
+        return access(ptr, gp::Access::Load, size, now, Word{},
+                      elide_check);
+    }
+    MemAccess
+    portStore(Word ptr, Word value, unsigned size, uint64_t now,
+              bool elide_check = false) override
+    {
+        return access(ptr, gp::Access::Store, size, now, value,
+                      elide_check);
+    }
+    MemAccess
+    portFetch(Word ip, uint64_t now, bool elide_check = false) override
+    {
+        return access(ip, gp::Access::InstFetch, 8, now, Word{},
+                      elide_check);
+    }
     void portPoke(uint64_t vaddr, Word w) override;
     Word portPeek(uint64_t vaddr) override;
 
   private:
-    /** Check + translate common head; returns false after recording
-     * the fault on @p acc. On success *paddr is the physical byte. */
-    bool resolve(Word ptr, gp::Access kind, unsigned size,
-                 bool elide_check, MemAccess &acc, uint64_t *paddr);
+    /** Pointer check, functional translation, tagged-data step. */
+    MemAccess access(Word ptr, gp::Access kind, unsigned size,
+                     uint64_t now, Word value, bool elide_check);
 
     MemorySystem &mem_;
 };

@@ -37,9 +37,10 @@ MemorySystem::MemorySystem(const MemConfig &config)
     }
     hits_ = &stats_.counter("hits");
     misses_ = &stats_.counter("misses");
-    loads_ = &stats_.counter("loads");
-    stores_ = &stats_.counter("stores");
-    fetches_ = &stats_.counter("fetches");
+    completed_[unsigned(Access::Load)] = &stats_.counter("loads");
+    completed_[unsigned(Access::Store)] = &stats_.counter("stores");
+    completed_[unsigned(Access::InstFetch)] =
+        &stats_.counter("fetches");
     accessFaults_ = &stats_.counter("access_faults");
     bankConflictStalls_ = &stats_.counter("bank_conflict_stalls");
     extPortStalls_ = &stats_.counter("ext_port_stalls");
@@ -230,13 +231,19 @@ MemorySystem::timedAccess(Word ptr, Access kind, unsigned size,
     return acc;
 }
 
-Word
-MemorySystem::checkedRead(uint64_t paddr, MemAccess &acc)
+MemAccess
+MemorySystem::access(Word ptr, Access kind, unsigned size, uint64_t now,
+                     Word value, bool elide_check)
 {
-    if (config_.ecc == EccMode::None)
-        return phys_.readWord(paddr);
+    uint64_t paddr = 0;
+    MemAccess acc =
+        timedAccess(ptr, kind, size, now, paddr, elide_check);
+    if (acc.fault != Fault::None)
+        return acc;
 
-    const CheckedWord cw = phys_.readWordChecked(paddr);
+    const CheckedWord cw =
+        phys_.access(kind == Access::Store, paddr, size, value);
+    acc.data = cw.word;
     if (cw.status == EccStatus::Corrected) {
         (*eccCorrected_)++;
         GP_TRACE(Fault, acc.startCycle, 0, "ecc-corrected",
@@ -250,67 +257,9 @@ MemorySystem::checkedRead(uint64_t paddr, MemAccess &acc)
         GP_TRACE(Fault, acc.startCycle, 0, "ecc-detected",
                  "paddr=0x%llx",
                  static_cast<unsigned long long>(paddr));
+        return acc;
     }
-    return cw.word;
-}
-
-MemAccess
-MemorySystem::load(Word ptr, unsigned size, uint64_t now,
-                   bool elide_check)
-{
-    uint64_t paddr = 0;
-    MemAccess acc = timedAccess(ptr, Access::Load, size, now, paddr,
-                                elide_check);
-    if (acc.fault != Fault::None)
-        return acc;
-
-    if (size == 8) {
-        acc.data = checkedRead(paddr, acc);
-    } else {
-        // Sub-word loads still check the whole stored word; the tag
-        // is never exposed but corruption must not slip past the
-        // code just because the consumer wanted one byte.
-        const Word w = checkedRead(paddr & ~uint64_t(7), acc);
-        const unsigned shift = (paddr & 7) * 8;
-        const uint64_t mask = (uint64_t(1) << (size * 8)) - 1;
-        acc.data = Word::fromInt((w.bits() >> shift) & mask);
-    }
-    if (acc.fault != Fault::None)
-        return acc;
-    (*loads_)++;
-    return acc;
-}
-
-MemAccess
-MemorySystem::store(Word ptr, Word value, unsigned size, uint64_t now,
-                    bool elide_check)
-{
-    uint64_t paddr = 0;
-    MemAccess acc = timedAccess(ptr, Access::Store, size, now, paddr,
-                                elide_check);
-    if (acc.fault != Fault::None)
-        return acc;
-
-    if (size == 8)
-        phys_.writeWord(paddr, value);
-    else
-        phys_.writeBytes(paddr, size, value.bits());
-    (*stores_)++;
-    return acc;
-}
-
-MemAccess
-MemorySystem::fetch(Word ip, uint64_t now, bool elide_check)
-{
-    uint64_t paddr = 0;
-    MemAccess acc = timedAccess(ip, Access::InstFetch, 8, now, paddr,
-                                elide_check);
-    if (acc.fault != Fault::None)
-        return acc;
-    acc.data = checkedRead(paddr, acc);
-    if (acc.fault != Fault::None)
-        return acc;
-    (*fetches_)++;
+    (*completed_[unsigned(kind)])++;
     return acc;
 }
 

@@ -105,20 +105,34 @@ class MemorySystem : public MemoryPort
      * @param elide_check skip the guarded-pointer access check under a
      *        verifier proof (translation/ECC still run)
      */
-    MemAccess load(Word ptr, unsigned size, uint64_t now = 0,
-                   bool elide_check = false);
+    MemAccess
+    load(Word ptr, unsigned size, uint64_t now = 0,
+         bool elide_check = false)
+    {
+        return access(ptr, Access::Load, size, now, Word{},
+                      elide_check);
+    }
 
     /** Timed store through a guarded pointer. An 8-byte store of a
      * tagged word stores the pointer intact; smaller stores clear the
      * destination word's tag. */
-    MemAccess store(Word ptr, Word value, unsigned size,
-                    uint64_t now = 0, bool elide_check = false);
+    MemAccess
+    store(Word ptr, Word value, unsigned size, uint64_t now = 0,
+          bool elide_check = false)
+    {
+        return access(ptr, Access::Store, size, now, value,
+                      elide_check);
+    }
 
     /** Timed instruction fetch (requires execute permission);
      * elide_check skips the per-fetch pointer check while the caller
      * holds an IP proof (isa::Thread::ipProven). */
-    MemAccess fetch(Word ip, uint64_t now = 0,
-                    bool elide_check = false);
+    MemAccess
+    fetch(Word ip, uint64_t now = 0, bool elide_check = false)
+    {
+        return access(ip, Access::InstFetch, 8, now, Word{},
+                      elide_check);
+    }
 
     /**
      * Revoke or relocate a segment by unmapping its pages: removes
@@ -198,11 +212,13 @@ class MemorySystem : public MemoryPort
                           bool elide_check = false);
 
     /**
-     * Read one stored word through the active ECC path: counts
-     * corrections, and converts a detected-uncorrectable error into
-     * Fault::MemoryIntegrity on @p acc.
+     * One timed access of any kind: timedAccess(), then the tagged-data
+     * step, which counts ECC corrections and turns a detected
+     * uncorrectable error into Fault::MemoryIntegrity. A completed
+     * access counts in loads/stores/fetches.
      */
-    Word checkedRead(uint64_t paddr, MemAccess &acc);
+    MemAccess access(Word ptr, Access kind, unsigned size, uint64_t now,
+                     Word value, bool elide_check);
 
     MemConfig config_;
     TaggedMemory phys_;
@@ -222,9 +238,8 @@ class MemorySystem : public MemoryPort
     sim::Counter *writebacks_ = nullptr;
     sim::Counter *hits_ = nullptr;
     sim::Counter *misses_ = nullptr;
-    sim::Counter *loads_ = nullptr;
-    sim::Counter *stores_ = nullptr;
-    sim::Counter *fetches_ = nullptr;
+    /// loads/stores/fetches, indexed by Access.
+    sim::Counter *completed_[3] = {};
     sim::Counter *accessFaults_ = nullptr;
     sim::Counter *bankConflictStalls_ = nullptr;
     sim::Counter *extPortStalls_ = nullptr;

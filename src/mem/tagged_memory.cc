@@ -51,27 +51,22 @@ TaggedMemory::readWordChecked(uint64_t addr)
     return CheckedWord{makeWord(bits, tag), status};
 }
 
-uint64_t
-TaggedMemory::readBytes(uint64_t addr, unsigned size) const
+CheckedWord
+TaggedMemory::loadChecked(uint64_t addr, unsigned size)
 {
-    if (size == 8)
-        return readWord(addr).bits();
-
-    const Word w = readWord(addr);
-    const unsigned shift = (addr & 7) * 8;
-    const uint64_t mask =
-        size == 8 ? ~uint64_t(0) : ((uint64_t(1) << (size * 8)) - 1);
-    return (w.bits() >> shift) & mask;
+    CheckedWord cw = readWordChecked(addr);
+    if (size < 8) {
+        // Zero-extended sub-word; the tag never leaves the word.
+        const unsigned shift = (addr & 7) * 8;
+        const uint64_t mask = (uint64_t(1) << (size * 8)) - 1;
+        cw.word = Word::fromInt((cw.word.bits() >> shift) & mask);
+    }
+    return cw;
 }
 
 void
-TaggedMemory::writeBytes(uint64_t addr, unsigned size, uint64_t value)
+TaggedMemory::writeSubWord(uint64_t addr, unsigned size, uint64_t value)
 {
-    if (size == 8) {
-        writeWord(addr, Word::fromInt(value));
-        return;
-    }
-
     const Word old = readWord(addr);
     const unsigned shift = (addr & 7) * 8;
     const uint64_t mask = ((uint64_t(1) << (size * 8)) - 1) << shift;

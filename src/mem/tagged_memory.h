@@ -84,16 +84,32 @@ class TaggedMemory
     CheckedWord readWordChecked(uint64_t addr);
 
     /**
-     * Read size bytes (1/2/4/8, naturally aligned) zero-extended.
-     * Sub-word reads never expose the tag.
+     * The tagged-data step every memory port (MemorySystem,
+     * noc::NodeMemory, FastPort) finishes an access with, after its
+     * own pointer check and translation. A load reads the word
+     * containing @p addr through the ECC check — the whole stored
+     * word, whatever the access size — and for size < 8 returns the
+     * zero-extended sub-word with the tag dropped. A store writes an
+     * 8-byte @p value intact (tag kept) or merges a sub-word into the
+     * containing word (tag cleared), and reports Ok. A Detected load
+     * must not be consumed architecturally.
      */
-    uint64_t readBytes(uint64_t addr, unsigned size) const;
-
-    /**
-     * Write size bytes (1/2/4/8, naturally aligned). Sub-word writes
-     * clear the containing word's tag bit.
-     */
-    void writeBytes(uint64_t addr, unsigned size, uint64_t value);
+    CheckedWord
+    access(bool is_store, uint64_t addr, unsigned size,
+           Word value = Word{})
+    {
+        if (is_store) {
+            if (size == 8)
+                writeWord(addr, value);
+            else
+                writeSubWord(addr, size, value.bits());
+            return CheckedWord{};
+        }
+        // The common case stays one lookup: nothing to check or cut.
+        if (size == 8 && ecc_ == EccMode::None)
+            return CheckedWord{readWord(addr), EccStatus::Ok};
+        return loadChecked(addr, size);
+    }
 
     /** @return number of distinct words ever written. */
     size_t wordsAllocated() const { return store_.size(); }
@@ -124,6 +140,12 @@ class TaggedMemory
     uint64_t eccDetected() const { return eccDetected_; }
 
   private:
+    /** Slow path of access(): a checked and/or sub-word load. */
+    CheckedWord loadChecked(uint64_t addr, unsigned size);
+
+    /** Merge a 1/2/4-byte store into its word, clearing the tag. */
+    void writeSubWord(uint64_t addr, unsigned size, uint64_t value);
+
     /** One resident word: payload+tag plus its stored check byte. */
     struct Cell
     {

@@ -55,9 +55,10 @@ NodeMemory::NodeMemory(unsigned node, Mesh &mesh, GlobalMemory &global,
     localMisses_ = &stats_.counter("local_misses");
     remoteMisses_ = &stats_.counter("remote_misses");
     remoteLatency_ = &stats_.counter("remote_latency");
-    loads_ = &stats_.counter("loads");
-    stores_ = &stats_.counter("stores");
-    fetches_ = &stats_.counter("fetches");
+    completed_[unsigned(Access::Load)] = &stats_.counter("loads");
+    completed_[unsigned(Access::Store)] = &stats_.counter("stores");
+    completed_[unsigned(Access::InstFetch)] =
+        &stats_.counter("fetches");
     accessFaults_ = &stats_.counter("access_faults");
     unmappedFaults_ = &stats_.counter("unmapped_faults");
     staleUnmappedFaults_ = &stats_.counter("stale_unmapped_faults");
@@ -118,29 +119,31 @@ NodeMemory::access(Word ptr, Access kind, unsigned size, uint64_t now,
 mem::MemAccess
 NodeMemory::resolveDeferred(const DeferredAccess &op)
 {
-    mem::MemAccess acc =
-        accessBody(op.ptr, op.kind, op.size, op.cycle, op.value);
-    // The load/store/fetch wrappers skipped their success counters
-    // when the access deferred; account for the real outcome here.
-    if (acc.fault == Fault::None) {
-        switch (op.kind) {
-          case Access::Load:
-            (*loads_)++;
-            break;
-          case Access::Store:
-            (*stores_)++;
-            break;
-          case Access::InstFetch:
-            (*fetches_)++;
-            break;
-        }
-    }
-    return acc;
+    // Start the op on an empty profiler scratch timeline, so the
+    // issuing machine folds exactly this op's segments into its
+    // record — never those of an op resolved before it.
+    if (sim::Profiler::armed())
+        sim::Profiler::instance().accBegin(
+            op.kind == Access::InstFetch ? sim::ProfComp::IFetch
+                                         : sim::ProfComp::DCache);
+    return accessBody(op.ptr, op.kind, op.size, op.cycle, op.value);
 }
 
 mem::MemAccess
 NodeMemory::accessBody(Word ptr, Access kind, unsigned size,
                        uint64_t now, Word store_value)
+{
+    mem::MemAccess acc = timedAccess(ptr, kind, size, now, store_value);
+    // The one point every finished access passes, synchronous or
+    // resolved at the barrier. A hung access counts: it did not fault.
+    if (acc.fault == Fault::None)
+        (*completed_[unsigned(kind)])++;
+    return acc;
+}
+
+mem::MemAccess
+NodeMemory::timedAccess(Word ptr, Access kind, unsigned size,
+                        uint64_t now, Word store_value)
 {
     mem::MemAccess acc;
     acc.startCycle = now;
@@ -314,82 +317,34 @@ NodeMemory::accessBody(Word ptr, Access kind, unsigned size,
         (*staleUnmappedFaults_)++;
         return acc;
     }
-    if (kind == Access::Store) {
-        if (size == 8)
-            home_slice.phys.writeWord(*pa, store_value);
-        else
-            home_slice.phys.writeBytes(*pa, size, store_value.bits());
-    } else {
-        if (home_slice.phys.eccMode() != mem::EccMode::None &&
-            size == 8) {
-            const mem::CheckedWord cw =
-                home_slice.phys.readWordChecked(*pa);
-            if (cw.status == mem::EccStatus::Detected) {
-                acc.fault = Fault::MemoryIntegrity;
-                acc.completeCycle = t;
-                (*eccDetected_)++;
-                return acc;
-            }
-            if (cw.status == mem::EccStatus::Corrected)
-                (*eccCorrected_)++;
-            acc.data = cw.word;
-        } else {
-            acc.data =
-                size == 8
-                    ? home_slice.phys.readWord(*pa)
-                    : Word::fromInt(home_slice.phys.readBytes(*pa,
-                                                              size));
-        }
-        if (corrupt_reply) {
-            // One bit of the delivered word flips in flight; bit 64
-            // is the tag — the NoC capability-forgery channel.
-            auto &inj = sim::FaultInjector::instance();
-            const unsigned bit = unsigned(
-                inj.drawBelow(sim::FaultSite::NocCorrupt, 65));
-            const uint64_t bits =
-                bit < 64 ? acc.data.bits() ^ (uint64_t(1) << bit)
-                         : acc.data.bits();
-            const bool tag = bit == 64 ? !acc.data.isPointer()
-                                       : acc.data.isPointer();
-            acc.data = tag ? Word::fromRawPointerBits(bits)
-                           : Word::fromInt(bits);
-            (*nocReplyCorruptions_)++;
-        }
+    const mem::CheckedWord cw = home_slice.phys.access(
+        kind == Access::Store, *pa, size, store_value);
+    if (cw.status == mem::EccStatus::Detected) {
+        acc.fault = Fault::MemoryIntegrity;
+        acc.completeCycle = t;
+        (*eccDetected_)++;
+        return acc;
+    }
+    if (cw.status == mem::EccStatus::Corrected)
+        (*eccCorrected_)++;
+    acc.data = cw.word;
+    if (corrupt_reply) {
+        // One bit of the delivered word flips in flight; bit 64 is
+        // the tag — the NoC capability-forgery channel.
+        auto &inj = sim::FaultInjector::instance();
+        const unsigned bit =
+            unsigned(inj.drawBelow(sim::FaultSite::NocCorrupt, 65));
+        const uint64_t bits =
+            bit < 64 ? acc.data.bits() ^ (uint64_t(1) << bit)
+                     : acc.data.bits();
+        const bool tag = bit == 64 ? !acc.data.isPointer()
+                                   : acc.data.isPointer();
+        acc.data =
+            tag ? Word::fromRawPointerBits(bits) : Word::fromInt(bits);
+        (*nocReplyCorruptions_)++;
     }
 
     acc.completeCycle = t;
-    return acc;
-}
-
-mem::MemAccess
-NodeMemory::load(Word ptr, unsigned size, uint64_t now,
-                 bool elide_check)
-{
-    mem::MemAccess acc =
-        access(ptr, Access::Load, size, now, Word{}, elide_check);
-    if (acc.fault == Fault::None && !acc.deferred)
-        (*loads_)++;
-    return acc;
-}
-
-mem::MemAccess
-NodeMemory::store(Word ptr, Word value, unsigned size, uint64_t now,
-                  bool elide_check)
-{
-    mem::MemAccess acc =
-        access(ptr, Access::Store, size, now, value, elide_check);
-    if (acc.fault == Fault::None && !acc.deferred)
-        (*stores_)++;
-    return acc;
-}
-
-mem::MemAccess
-NodeMemory::fetch(Word ip, uint64_t now, bool elide_check)
-{
-    mem::MemAccess acc =
-        access(ip, Access::InstFetch, 8, now, Word{}, elide_check);
-    if (acc.fault == Fault::None && !acc.deferred)
-        (*fetches_)++;
     return acc;
 }
 

@@ -194,18 +194,32 @@ class NodeMemory : public mem::MemoryPort
     /** Timed load through a guarded pointer (local or remote);
      * elide_check skips the guarded-pointer access check under a
      * verifier proof (translation/NoC behaviour unchanged). */
-    mem::MemAccess load(Word ptr, unsigned size, uint64_t now = 0,
-                        bool elide_check = false);
+    mem::MemAccess
+    load(Word ptr, unsigned size, uint64_t now = 0,
+         bool elide_check = false)
+    {
+        return access(ptr, Access::Load, size, now, Word{},
+                      elide_check);
+    }
 
     /** Timed store through a guarded pointer (local or remote). */
-    mem::MemAccess store(Word ptr, Word value, unsigned size,
-                         uint64_t now = 0, bool elide_check = false);
+    mem::MemAccess
+    store(Word ptr, Word value, unsigned size, uint64_t now = 0,
+          bool elide_check = false)
+    {
+        return access(ptr, Access::Store, size, now, value,
+                      elide_check);
+    }
 
     /** Timed instruction fetch (local or remote code!); elide_check
      * skips the per-fetch pointer check while the caller holds an IP
      * proof (isa::Thread::ipProven). */
-    mem::MemAccess fetch(Word ip, uint64_t now = 0,
-                         bool elide_check = false);
+    mem::MemAccess
+    fetch(Word ip, uint64_t now = 0, bool elide_check = false)
+    {
+        return access(ip, Access::InstFetch, 8, now, Word{},
+                      elide_check);
+    }
 
     // MemoryPort interface — a Machine runs against a node directly.
     mem::MemAccess
@@ -277,11 +291,15 @@ class NodeMemory : public mem::MemoryPort
                           uint64_t now, Word store_value,
                           bool elide_check = false);
 
-    /** Timed access after the pre-issue check: cache, translation,
-     * NoC legs, functional data — shared by the synchronous path and
+    /** The access after its pre-issue check, and the one place a
+     * finished access is counted — shared by the synchronous path and
      * resolveDeferred(). */
     mem::MemAccess accessBody(Word ptr, Access kind, unsigned size,
                               uint64_t now, Word store_value);
+
+    /** Cache, translation, NoC legs and the tagged-data step. */
+    mem::MemAccess timedAccess(Word ptr, Access kind, unsigned size,
+                               uint64_t now, Word store_value);
 
     unsigned node_;
     Mesh &mesh_;
@@ -302,9 +320,8 @@ class NodeMemory : public mem::MemoryPort
     sim::Counter *localMisses_ = nullptr;
     sim::Counter *remoteMisses_ = nullptr;
     sim::Counter *remoteLatency_ = nullptr;
-    sim::Counter *loads_ = nullptr;
-    sim::Counter *stores_ = nullptr;
-    sim::Counter *fetches_ = nullptr;
+    /// loads/stores/fetches, indexed by Access.
+    sim::Counter *completed_[3] = {};
     sim::Counter *accessFaults_ = nullptr;
     sim::Counter *unmappedFaults_ = nullptr;
     sim::Counter *staleUnmappedFaults_ = nullptr;

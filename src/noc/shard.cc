@@ -32,6 +32,8 @@ ShardedMesh::ShardedMesh(const ShardConfig &config)
         nodes_.back()->attachExchange(&exchange_);
         machines_.push_back(
             std::make_unique<isa::Machine>(mcfg, *nodes_.back()));
+        machines_.back()->setProfileSlotBase(
+            n * mcfg.clusters * mcfg.threadsPerCluster);
     }
 
     // Lookahead: an epoch may not exceed the minimum inter-node
@@ -530,8 +532,9 @@ ShardedMesh::signature() const
             }
         }
     }
-    // Machine, node, and retransmit counters, in each group's stable
-    // (name-sorted map) order.
+    // Every counter of the machine, node and mesh stat groups, in
+    // each group's stable (name-sorted map) order. The retransmit
+    // groups are not included.
     for (const auto &mp : machines_)
         for (const auto &[name, ctr] :
              const_cast<isa::Machine &>(*mp).stats().counters())

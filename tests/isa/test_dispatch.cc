@@ -305,32 +305,49 @@ TEST(Dispatch, ComposesWithElideVerdicts)
     EXPECT_EQ(machine.stats().get("elide_cycles_saved"), 200u);
 }
 
+/** The fast-mode tests run without ECC and under SECDED: --fast
+ * composes with every ECC mode. */
+constexpr mem::EccMode kFastEccModes[] = {mem::EccMode::None,
+                                          mem::EccMode::Secded};
+
 TEST(Dispatch, FastModeMatchesArchitecturalOutcome)
 {
     // --fast skips the timing model: registers, fault kind, and the
     // instruction count must match the timed run; cycle counts are
     // firewalled out of the comparison (that is the whole point).
-    MachineConfig fast = baseConfig();
-    fast.fastMode = true;
-    const Outcome t = runWith(baseConfig(), kHotLoop, dataRegs());
-    const Outcome f = runWith(fast, kHotLoop, dataRegs());
-    expectHotLoop(t);
-    EXPECT_EQ(t.state, f.state);
-    EXPECT_EQ(t.instructions, f.instructions);
-    EXPECT_EQ(t.regs, f.regs);
+    for (const mem::EccMode ecc : kFastEccModes) {
+        SCOPED_TRACE(int(ecc));
+        MachineConfig timed = baseConfig();
+        timed.mem.ecc = ecc;
+        MachineConfig fast = timed;
+        fast.fastMode = true;
+        const Outcome t = runWith(timed, kHotLoop, dataRegs());
+        const Outcome f = runWith(fast, kHotLoop, dataRegs());
+        if (ecc == mem::EccMode::None)
+            expectHotLoop(t); // blessed with ECC off (cycles differ)
+        EXPECT_EQ(f.state, ThreadState::Halted);
+        EXPECT_EQ(t.state, f.state);
+        EXPECT_EQ(t.instructions, f.instructions);
+        EXPECT_EQ(t.regs, f.regs);
+    }
 }
 
 TEST(Dispatch, FastModeFaultKindMatches)
 {
-    MachineConfig fast = baseConfig();
-    fast.fastMode = true;
-    const Outcome t = runWith(baseConfig(), kFaulting, dataRegs(4));
-    const Outcome f = runWith(fast, kFaulting, dataRegs(4));
-    EXPECT_EQ(t.state, ThreadState::Faulted);
-    EXPECT_EQ(t.state, f.state);
-    EXPECT_EQ(t.fault, f.fault);
-    EXPECT_EQ(t.faultAddr, f.faultAddr);
-    EXPECT_EQ(t.regs, f.regs);
+    for (const mem::EccMode ecc : kFastEccModes) {
+        SCOPED_TRACE(int(ecc));
+        MachineConfig timed = baseConfig();
+        timed.mem.ecc = ecc;
+        MachineConfig fast = timed;
+        fast.fastMode = true;
+        const Outcome t = runWith(timed, kFaulting, dataRegs(4));
+        const Outcome f = runWith(fast, kFaulting, dataRegs(4));
+        EXPECT_EQ(t.state, ThreadState::Faulted);
+        EXPECT_EQ(t.state, f.state);
+        EXPECT_EQ(t.fault, f.fault);
+        EXPECT_EQ(t.faultAddr, f.faultAddr);
+        EXPECT_EQ(t.regs, f.regs);
+    }
 }
 
 TEST(Dispatch, MultithreadInterleaving)

@@ -146,6 +146,12 @@ TEST(ElideProofFormat, ParseRejectsBadInput)
     EXPECT_FALSE(parseProof("gpproof 1\nbase 0\nprivileged 0\n"
                             "insts 2\nend\n",
                             out, &err));
+    // The count is input, never an allocation size: a huge one is a
+    // truncated body like any other, not an exception.
+    EXPECT_FALSE(parseProof("gpproof 1\nbase 0\nprivileged 0\n"
+                            "insts 1000000000000000\nend\n",
+                            out, &err));
+    EXPECT_NE(err.find("truncated"), std::string::npos) << err;
 }
 
 TEST(ElideMachine, ProvenChecksSkippedWithIdenticalOutcome)

@@ -52,25 +52,28 @@ TEST(TaggedMemory, SubWordReadExtractsBytes)
 {
     TaggedMemory m;
     m.writeWord(0x10, Word::fromInt(0x8877665544332211ull));
-    EXPECT_EQ(m.readBytes(0x10, 1), 0x11u);
-    EXPECT_EQ(m.readBytes(0x11, 1), 0x22u);
-    EXPECT_EQ(m.readBytes(0x17, 1), 0x88u);
-    EXPECT_EQ(m.readBytes(0x10, 2), 0x2211u);
-    EXPECT_EQ(m.readBytes(0x12, 2), 0x4433u);
-    EXPECT_EQ(m.readBytes(0x10, 4), 0x44332211u);
-    EXPECT_EQ(m.readBytes(0x14, 4), 0x88776655u);
-    EXPECT_EQ(m.readBytes(0x10, 8), 0x8877665544332211ull);
+    auto load = [&m](uint64_t addr, unsigned size) {
+        return m.access(false, addr, size).word.bits();
+    };
+    EXPECT_EQ(load(0x10, 1), 0x11u);
+    EXPECT_EQ(load(0x11, 1), 0x22u);
+    EXPECT_EQ(load(0x17, 1), 0x88u);
+    EXPECT_EQ(load(0x10, 2), 0x2211u);
+    EXPECT_EQ(load(0x12, 2), 0x4433u);
+    EXPECT_EQ(load(0x10, 4), 0x44332211u);
+    EXPECT_EQ(load(0x14, 4), 0x88776655u);
+    EXPECT_EQ(load(0x10, 8), 0x8877665544332211ull);
 }
 
 TEST(TaggedMemory, SubWordWriteMergesBytes)
 {
     TaggedMemory m;
     m.writeWord(0x20, Word::fromInt(0xffffffffffffffffull));
-    m.writeBytes(0x22, 2, 0xabcd);
+    m.access(true, 0x22, 2, Word::fromInt(0xabcd));
     EXPECT_EQ(m.readWord(0x20).bits(), 0xffffffffabcdffffull);
-    m.writeBytes(0x20, 1, 0x00);
+    m.access(true, 0x20, 1, Word::fromInt(0x00));
     EXPECT_EQ(m.readWord(0x20).bits(), 0xffffffffabcdff00ull);
-    m.writeBytes(0x24, 4, 0x12345678);
+    m.access(true, 0x24, 4, Word::fromInt(0x12345678));
     EXPECT_EQ(m.readWord(0x20).bits(), 0x12345678abcdff00ull);
 }
 
@@ -83,7 +86,7 @@ TEST(TaggedMemory, SubWordWriteDestroysCapability)
     ASSERT_TRUE(p);
     m.writeWord(0x30, p.value);
     ASSERT_TRUE(m.readWord(0x30).isPointer());
-    m.writeBytes(0x30, 1, 0xff);
+    m.access(true, 0x30, 1, Word::fromInt(0xff));
     EXPECT_FALSE(m.readWord(0x30).isPointer());
 }
 
@@ -94,7 +97,7 @@ TEST(TaggedMemory, FullWordByteWriteIsUntagged)
     ASSERT_TRUE(p);
     // Even writing the pointer's exact bit pattern through the
     // integer path yields an untagged word: no forging via stores.
-    m.writeBytes(0x40, 8, p.value.bits());
+    m.access(true, 0x40, 8, Word::fromInt(p.value.bits()));
     EXPECT_FALSE(m.readWord(0x40).isPointer());
     EXPECT_EQ(m.readWord(0x40).bits(), p.value.bits());
 }
@@ -106,8 +109,9 @@ TEST(TaggedMemory, SubWordReadNeverExposesTag)
     ASSERT_TRUE(p);
     m.writeWord(0x50, p.value);
     // 4-byte read of a tagged word returns plain bits.
-    const uint64_t lo = m.readBytes(0x50, 4);
-    EXPECT_EQ(lo, p.value.bits() & 0xffffffffu);
+    const Word lo = m.access(false, 0x50, 4).word;
+    EXPECT_FALSE(lo.isPointer());
+    EXPECT_EQ(lo.bits(), p.value.bits() & 0xffffffffu);
 }
 
 TEST(TaggedMemory, SparseFootprint)

@@ -126,11 +126,11 @@ usage(const char *argv0)
         "  --elide-checks=verified  skip runtime checks the verifier\n"
         "                   proves can never fire (identical\n"
         "                   architectural outcomes, fewer cycles);\n"
-        "                   verifies the program at load unless\n"
-        "                   --proofs supplies a sidecar\n"
+        "                   the proof is always derived at load\n"
         "  --proofs=FILE    gpproof sidecar from gpverify\n"
-        "                   --emit-proofs, rebased to the actual load\n"
-        "                   address (requires --elide-checks)\n"
+        "                   --emit-proofs, checked against the derived\n"
+        "                   proof; a mismatch exits 2 before anything\n"
+        "                   runs (requires --elide-checks)\n"
         "  --trace[=CATS]   structured event trace to stdout; CATS is\n"
         "                   'all' or a comma list of exec,mem,cache,\n"
         "                   tlb,fault,gate,noc,sched (default exec)\n"
@@ -386,9 +386,6 @@ validateOptions(const Options &opts)
         if (opts.profile)
             return "--fast skips the timing model, so there are no "
                    "cycles to profile; drop --fast or --profile";
-        if (opts.ecc != mem::EccMode::None)
-            return "--fast cannot model ECC (storage-cycle timing); "
-                   "drop --fast or use --ecc=off";
     }
     if (opts.mesh) {
         // The verifier pipeline is single-machine: it assumes one
@@ -443,16 +440,18 @@ runMesh(const Options &opts, const std::string &source)
 
     // Mesh profiling (single host thread only — validateOptions
     // rejects --threads > 1): every node machine ticks the
-    // process-wide profiler, so the summary aggregates across nodes
-    // by (cluster, thread slot). Interval snapshots are forced off —
-    // N machines advancing the singleton's cycle clock would
-    // interleave the time series meaninglessly.
+    // process-wide profiler, so the CPI stack aggregates across
+    // nodes, while each node's threads keep their own slots (the
+    // engine gives every node a slot range). Interval snapshots are
+    // forced off — N machines advancing the singleton's cycle clock
+    // would interleave the time series meaninglessly.
     if (opts.profile) {
         sim::ProfileConfig pcfg = opts.profileConfig;
         pcfg.interval = false;
         sim::Profiler::instance().arm(
             scfg.machine.clusters,
-            scfg.machine.clusters * scfg.machine.threadsPerCluster,
+            shard.nodeCount() * scfg.machine.clusters *
+                scfg.machine.threadsPerCluster,
             pcfg);
     }
 
@@ -562,6 +561,31 @@ runMesh(const Options &opts, const std::string &source)
     return faulted ? 1 : 0;
 }
 
+/**
+ * Check a gpproof sidecar against the proof derived in-process: the
+ * instruction bits and verdicts must match (the load base is
+ * ignored; the sidecar records gpverify's --base). @return "" on a
+ * match, else a one-line reason.
+ */
+std::string
+sidecarMismatch(const std::string &path, const isa::ElideProof &derived)
+{
+    std::ifstream in(path);
+    if (!in)
+        return "cannot read proof sidecar " + path;
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    isa::ElideProof claimed;
+    std::string perr;
+    if (!isa::parseProof(ss.str(), claimed, &perr))
+        return "bad proof sidecar " + path + ": " + perr;
+    if (claimed.bits != derived.bits ||
+        claimed.verdicts != derived.verdicts)
+        return "proof sidecar " + path +
+               " does not match the proof derived from the program";
+    return "";
+}
+
 std::string
 readSource(const std::string &path)
 {
@@ -655,37 +679,25 @@ main(int argc, char **argv)
     }
 
     if (opts.elideChecks) {
-        isa::ElideProof proof;
+        // No check is skipped unless it was proven in this process:
+        // derive the proof here, under the same entry-state
+        // assumptions the spawn loop below sets up (r1 = RW data
+        // segment of --data bytes, r2 = integer). A sidecar is only
+        // a claim, checked against the derived proof.
+        const isa::Assembly assembly = isa::assemble(source);
+        verify::VerifyOptions vopts;
+        vopts.privileged = opts.privileged;
+        vopts.entryRegs = verify::defaultEntryRegs(opts.dataBytes);
+        const isa::ElideProof proof = verify::makeElideProof(
+            verify::verifyProgram(assembly, vopts), assembly.words,
+            opts.privileged, prog.value.base);
         if (!opts.proofsFile.empty()) {
-            std::ifstream in(opts.proofsFile);
-            if (!in)
-                sim::fatal("cannot open proof sidecar %s",
-                           opts.proofsFile.c_str());
-            std::ostringstream ss;
-            ss << in.rdbuf();
-            std::string perr;
-            if (!isa::parseProof(ss.str(), proof, &perr))
-                sim::fatal("bad proof sidecar %s: %s",
-                           opts.proofsFile.c_str(), perr.c_str());
-            // Rebase to where the kernel actually put the image. The
-            // verdicts are position-independent (the verifier works on
-            // instruction indices); the bits binding still guarantees
-            // a verdict only applies to the exact word it was proven
-            // for.
-            proof.base = prog.value.base;
-        } else {
-            // No sidecar: establish the proof here, under the same
-            // entry-state assumptions the spawn loop below sets up
-            // (r1 = RW data segment of --data bytes, r2 = integer).
-            const isa::Assembly assembly = isa::assemble(source);
-            verify::VerifyOptions vopts;
-            vopts.privileged = opts.privileged;
-            vopts.entryRegs = verify::defaultEntryRegs(opts.dataBytes);
-            const verify::VerifyResult vres =
-                verify::verifyProgram(assembly, vopts);
-            proof = verify::makeElideProof(vres, assembly.words,
-                                           opts.privileged,
-                                           prog.value.base);
+            const std::string err =
+                sidecarMismatch(opts.proofsFile, proof);
+            if (!err.empty()) {
+                std::fprintf(stderr, "gpsim: %s\n", err.c_str());
+                return 2;
+            }
         }
         kernel.machine().registerElideProof(proof);
     }

@@ -35,8 +35,8 @@
  *
  * Determinism: the whole campaign outcome is a pure function of
  * (CampaignConfig, master seed). Per-run seeds derive from the
- * master seed by splitmix; all stochastic choices flow through the
- * per-site FaultInjector streams; victim words are chosen from
+ * master seed (fault/engine.h); all stochastic choices flow through
+ * the per-site FaultInjector streams; victim words are chosen from
  * *sorted* address lists, never from hash iteration order.
  */
 
@@ -47,11 +47,10 @@
 #include <string_view>
 #include <vector>
 
+#include "fault/engine.h"
 #include "gp/fault.h"
-#include "isa/machine.h"
 #include "mem/ecc.h"
 #include "sim/faultinject.h"
-#include "sim/stats.h"
 
 namespace gp::fault {
 
@@ -133,61 +132,65 @@ struct RunResult
 };
 
 /** Aggregated campaign outcome table. */
-struct CampaignTotals
+struct CampaignTotals : TotalsBase<Outcome>
 {
-    uint64_t perOutcome[kOutcomeCount] = {};
-    uint64_t runs = 0;
-    uint64_t totalInjections = 0;
     uint64_t totalEccCorrected = 0;
     uint64_t totalEccDetected = 0;
-    uint64_t goldenCycles = 0;    //!< cycles of the fault-free run
-
-    uint64_t
-    outcome(Outcome o) const
-    {
-        return perOutcome[static_cast<unsigned>(o)];
-    }
 };
 
 /**
- * Runs the standard workload under a campaign configuration.
- * Each CampaignRunner owns a "campaign" stat group whose counters
- * (outcome.*, runs, injections) feed the registry JSON export.
+ * Runs the standard workload under a campaign configuration on one
+ * machine. Owns a "campaign" stat group (outcome.*, runs,
+ * injections, ...) that feeds the registry JSON export.
  */
 class CampaignRunner
+    : public CampaignEngine<CampaignRunner, RunResult, CampaignTotals>
 {
   public:
-    explicit CampaignRunner(const CampaignConfig &config);
-    ~CampaignRunner();
+    using Config = CampaignConfig;
+    using Outcome = fault::Outcome;
 
-    /** The fault-free signature/cycle count (computed lazily). */
-    uint64_t goldenSignature();
-    uint64_t goldenCycles();
+    /** The memory, TLB and page-walk sites this arm wires. */
+    static constexpr sim::FaultSite kSites[] = {
+        sim::FaultSite::MemDataBit,     sim::FaultSite::MemTagBit,
+        sim::FaultSite::MemPermField,   sim::FaultSite::CacheLineBurst,
+        sim::FaultSite::TlbCorrupt,     sim::FaultSite::TlbInvalidate,
+        sim::FaultSite::PtWalkTransient,
+    };
 
-    /** Execute run @p index (0-based) under its derived seed. */
-    RunResult runOne(unsigned index);
+    static constexpr CampaignExtra<RunResult, CampaignTotals> kExtras[] = {
+        {"ecc_corrected", &RunResult::eccCorrected,
+         &CampaignTotals::totalEccCorrected},
+        {"ecc_detected", &RunResult::eccDetected,
+         &CampaignTotals::totalEccDetected},
+    };
 
-    /** Execute the whole campaign and aggregate. */
-    CampaignTotals runAll();
+    explicit CampaignRunner(const CampaignConfig &config)
+        : CampaignEngine("campaign"), config_(config)
+    {
+    }
 
-    /** Per-run results of the last runAll(). */
-    const std::vector<RunResult> &results() const { return results_; }
+    /** The fault-free data-image signature (computed lazily). */
+    uint64_t goldenSignature() { return golden().signature; }
 
     const CampaignConfig &config() const { return config_; }
-    sim::StatGroup &stats() { return stats_; }
 
   private:
-    struct Harness; // one constructed machine + workload
+    friend CampaignEngine;
 
     /** Execute the workload once; inject iff @p runSeed != nullptr. */
     RunResult execute(const uint64_t *runSeed);
 
+    static void mixGolden(Fnv &h, const RunResult &g) { h.mix(g.signature); }
+
+    static void
+    mixRun(Fnv &h, const RunResult &r)
+    {
+        h.mix(uint64_t(r.outcome));
+        mixGolden(h, r);
+    }
+
     CampaignConfig config_;
-    bool goldenValid_ = false;
-    uint64_t goldenSignature_ = 0;
-    uint64_t goldenCycles_ = 0;
-    std::vector<RunResult> results_;
-    sim::StatGroup stats_{"campaign"};
 };
 
 } // namespace gp::fault

@@ -1,7 +1,5 @@
 #include "fault/mesh_campaign.h"
 
-#include <string>
-
 #include "gp/pointer.h"
 #include "isa/assembler.h"
 #include "isa/loader.h"
@@ -69,43 +67,20 @@ loop:   andi r7, r5, 15
         halt
 )";
 
-/** splitmix64 finalizer for per-run seed derivation. */
-uint64_t
-mix64(uint64_t z)
-{
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
 /** The constant the harness plants in node @p m's slot @p j: any
  * fixed function of (m, j) works — it only has to be the SAME in
  * golden and injected runs. */
 Word
 constantFor(unsigned m, unsigned j)
 {
-    return Word::fromInt(mix64(0x6d657368ull ^ (uint64_t(m) << 8) ^
-                               j) &
-                         0xffffffffull);
+    return Word::fromInt(
+        sim::mix64(0x6d657368ull ^ (uint64_t(m) << 8) ^ j) & 0xffffffffull);
 }
 
 } // namespace
 
-MeshCampaignRunner::MeshCampaignRunner(const MeshCampaignConfig &config)
-    : config_(config)
-{
-}
-
-MeshCampaignRunner::~MeshCampaignRunner()
-{
-    // Never leave a half-finished campaign armed behind us.
-    if (FaultInjector::armed())
-        FaultInjector::instance().disarm();
-}
-
 MeshRunResult
-MeshCampaignRunner::execute(const uint64_t *runSeed,
-                            std::vector<uint64_t> &nodeSigs)
+MeshCampaignRunner::execute(const uint64_t *runSeed)
 {
     noc::ShardConfig scfg;
     scfg.mesh.dimX = config_.dimX;
@@ -160,6 +135,7 @@ MeshCampaignRunner::execute(const uint64_t *runSeed,
 
     MeshRunResult r;
     r.cycles = shard.cycle();
+    std::vector<uint64_t> &nodeSigs = r.nodeSignatures;
     if (runSeed) {
         r.injections = inj.injectedTotal();
         inj.disarm();
@@ -176,7 +152,7 @@ MeshCampaignRunner::execute(const uint64_t *runSeed,
     bool survivorFaulted = false;
     uint64_t survivorsWrong = 0;
     const std::vector<uint64_t> *golden =
-        goldenValid_ ? &goldenNodeSigs_ : nullptr;
+        runSeed ? &goldenNodeSignatures() : nullptr;
     for (unsigned n = 0; n < nodes; ++n) {
         if (shard.nodeDead(n)) {
             nodeSigs.push_back(0xdeadull); // placeholder, not compared
@@ -189,30 +165,26 @@ MeshCampaignRunner::execute(const uint64_t *runSeed,
             if (r.firstFault == Fault::None)
                 r.firstFault = shard.machine(n).faultLog().front().fault;
         }
-        uint64_t h = 1469598103934665603ull; // FNV-1a offset basis
-        auto mix = [&h](uint64_t v) {
-            h ^= v;
-            h *= 1099511628211ull;
-        };
+        Fnv h;
         const uint64_t base = noc::nodeBase(n);
         for (unsigned j = 0; j < kResultWords; ++j) {
             const Word w =
                 shard.node(n).peekWord(base + kResultOff + 8 * j);
-            mix(w.bits());
-            mix(w.isPointer() ? 0x9e3779b9ull : 0x51edull);
+            h.mix(w.bits());
+            h.mix(w.isPointer() ? 0x9e3779b9ull : 0x51edull);
         }
         bool halted = true;
         for (const isa::Thread &t : shard.machine(n).threads())
             if (t.state() != isa::ThreadState::Idle &&
                 t.state() != isa::ThreadState::Halted)
                 halted = false;
-        mix(halted ? 1 : 0);
-        nodeSigs.push_back(h);
+        h.mix(halted ? 1 : 0);
+        nodeSigs.push_back(h.hash);
         // Only a CLEANLY completed survivor can be silently wrong: a
         // survivor that took a typed fault mid-loop legitimately left
         // a truncated result — that is the detected-fault class, not
         // corruption.
-        if (golden && halted && !faulted && h != (*golden)[n])
+        if (golden && halted && !faulted && h.hash != (*golden)[n])
             survivorsWrong++;
     }
     r.survivorsWrong = survivorsWrong;
@@ -235,94 +207,6 @@ MeshCampaignRunner::execute(const uint64_t *runSeed,
     else
         r.outcome = MeshOutcome::Masked;
     return r;
-}
-
-const std::vector<uint64_t> &
-MeshCampaignRunner::goldenNodeSignatures()
-{
-    if (!goldenValid_) {
-        goldenNodeSigs_.clear();
-        const MeshRunResult g = execute(nullptr, goldenNodeSigs_);
-        goldenCycles_ = g.cycles;
-        goldenValid_ = true;
-    }
-    return goldenNodeSigs_;
-}
-
-uint64_t
-MeshCampaignRunner::goldenCycles()
-{
-    goldenNodeSignatures();
-    return goldenCycles_;
-}
-
-MeshRunResult
-MeshCampaignRunner::runOne(unsigned index)
-{
-    goldenNodeSignatures(); // ensure golden exists before arming
-    const uint64_t runSeed =
-        mix64(config_.seed ^
-              (0x9e3779b97f4a7c15ull * (uint64_t(index) + 1)));
-    std::vector<uint64_t> sigs;
-    return execute(&runSeed, sigs);
-}
-
-MeshCampaignTotals
-MeshCampaignRunner::runAll()
-{
-    MeshCampaignTotals totals;
-    totals.goldenCycles = goldenCycles();
-    results_.clear();
-    results_.reserve(config_.runs);
-
-    uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](uint64_t v) {
-        h ^= v;
-        h *= 1099511628211ull;
-    };
-    for (uint64_t g : goldenNodeSigs_)
-        mix(g);
-
-    for (unsigned i = 0; i < config_.runs; ++i) {
-        const uint64_t runSeed =
-            mix64(config_.seed ^
-                  (0x9e3779b97f4a7c15ull * (uint64_t(i) + 1)));
-        std::vector<uint64_t> sigs;
-        const MeshRunResult r = execute(&runSeed, sigs);
-        results_.push_back(r);
-        totals.perOutcome[unsigned(r.outcome)]++;
-        totals.totalInjections += r.injections;
-        totals.totalDeadNodes += r.deadNodes;
-        totals.totalDownLinks += r.downLinks;
-        totals.totalDetours += r.detours;
-        totals.totalUnreachableFaults += r.unreachableFaults;
-        mix(uint64_t(r.outcome));
-        mix(r.deadNodes);
-        mix(r.downLinks);
-        mix(r.survivorsWrong);
-        for (uint64_t s : sigs)
-            mix(s);
-    }
-    totals.runs = config_.runs;
-    campaignSignature_ = h;
-
-    // Publish the outcome table through the stats registry so the
-    // JSON export (and tools/statdiff.py) can diff campaigns.
-    stats_.counter("runs").set(totals.runs);
-    stats_.counter("injections").set(totals.totalInjections);
-    stats_.counter("dead_nodes").set(totals.totalDeadNodes);
-    stats_.counter("down_links").set(totals.totalDownLinks);
-    stats_.counter("detours").set(totals.totalDetours);
-    stats_.counter("unreachable_faults")
-        .set(totals.totalUnreachableFaults);
-    stats_.counter("golden_cycles").set(totals.goldenCycles);
-    for (unsigned o = 0; o < kMeshOutcomeCount; ++o) {
-        stats_
-            .counter(std::string("outcome.") +
-                     std::string(meshOutcomeName(MeshOutcome(o))))
-            .set(totals.perOutcome[o]);
-    }
-    return totals;
 }
 
 } // namespace gp::fault

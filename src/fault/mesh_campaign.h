@@ -43,10 +43,10 @@
 #include <string_view>
 #include <vector>
 
+#include "fault/engine.h"
 #include "gp/fault.h"
 #include "noc/shard.h"
 #include "sim/faultinject.h"
-#include "sim/stats.h"
 
 namespace gp::fault {
 
@@ -66,7 +66,7 @@ inline constexpr unsigned kMeshOutcomeCount =
 
 /** @return stable lower-case outcome name (stat/JSON key). */
 constexpr std::string_view
-meshOutcomeName(MeshOutcome o)
+outcomeName(MeshOutcome o)
 {
     switch (o) {
       case MeshOutcome::Masked:
@@ -130,79 +130,92 @@ struct MeshRunResult
     uint64_t survivorsWrong = 0;
     Fault firstFault = Fault::None; //!< first fault any survivor took
     bool meshWatchdog = false;      //!< distributed watchdog tripped
+    /** Per-node result signatures (a placeholder for a dead node). */
+    std::vector<uint64_t> nodeSignatures;
 };
 
 /** Aggregated campaign outcome table. */
-struct MeshCampaignTotals
+struct MeshCampaignTotals : TotalsBase<MeshOutcome>
 {
-    uint64_t perOutcome[kMeshOutcomeCount] = {};
-    uint64_t runs = 0;
-    uint64_t totalInjections = 0;
     uint64_t totalDeadNodes = 0;
     uint64_t totalDownLinks = 0;
     uint64_t totalDetours = 0;
     uint64_t totalUnreachableFaults = 0;
-    uint64_t goldenCycles = 0; //!< cycles of the failure-free run
-
-    uint64_t
-    outcome(MeshOutcome o) const
-    {
-        return perOutcome[static_cast<unsigned>(o)];
-    }
 };
 
 /**
  * Runs the ring-traffic workload under a mesh campaign configuration.
  * Owns a "mesh_campaign" stat group (outcome.*, runs, dead_nodes,
  * ...) feeding the registry JSON export, so tools/statdiff.py can
- * diff campaign outcome tables between builds.
+ * diff campaign outcome tables between builds. Its campaign
+ * signature is identical for every hostThreads value — the CI
+ * t1-vs-t4 cross-check pins it.
  */
 class MeshCampaignRunner
+    : public CampaignEngine<MeshCampaignRunner, MeshRunResult,
+                            MeshCampaignTotals>
 {
   public:
-    explicit MeshCampaignRunner(const MeshCampaignConfig &config);
-    ~MeshCampaignRunner();
+    using Config = MeshCampaignConfig;
+    using Outcome = MeshOutcome;
 
-    /** Per-node golden signatures (failure-free run; lazy). */
-    const std::vector<uint64_t> &goldenNodeSignatures();
-    uint64_t goldenCycles();
+    /** The NoC transient and fail-stop sites this arm wires. */
+    static constexpr sim::FaultSite kSites[] = {
+        sim::FaultSite::NocDrop,      sim::FaultSite::NocDuplicate,
+        sim::FaultSite::NocDelay,     sim::FaultSite::NocCorrupt,
+        sim::FaultSite::NodeFailStop, sim::FaultSite::LinkDown,
+    };
 
-    /** Execute run @p index (0-based) under its derived seed. */
-    MeshRunResult runOne(unsigned index);
+    static constexpr CampaignExtra<MeshRunResult, MeshCampaignTotals>
+        kExtras[] = {
+            {"dead_nodes", &MeshRunResult::deadNodes,
+             &MeshCampaignTotals::totalDeadNodes},
+            {"down_links", &MeshRunResult::downLinks,
+             &MeshCampaignTotals::totalDownLinks},
+            {"detours", &MeshRunResult::detours,
+             &MeshCampaignTotals::totalDetours},
+            {"unreachable_faults", &MeshRunResult::unreachableFaults,
+             &MeshCampaignTotals::totalUnreachableFaults},
+        };
 
-    /** Execute the whole campaign and aggregate. */
-    MeshCampaignTotals runAll();
-
-    /** Per-run results of the last runAll(). */
-    const std::vector<MeshRunResult> &results() const
+    explicit MeshCampaignRunner(const MeshCampaignConfig &config)
+        : CampaignEngine("mesh_campaign"), config_(config)
     {
-        return results_;
     }
 
-    /**
-     * Deterministic digest of the whole campaign: per-run outcomes,
-     * failure sets, and per-survivor result signatures. Identical for
-     * every hostThreads value — the CI t1-vs-t4 cross-check pins it.
-     * Valid after runAll().
-     */
-    uint64_t campaignSignature() const { return campaignSignature_; }
+    /** Per-node golden signatures (failure-free run; lazy). */
+    const std::vector<uint64_t> &
+    goldenNodeSignatures()
+    {
+        return golden().nodeSignatures;
+    }
 
     const MeshCampaignConfig &config() const { return config_; }
-    sim::StatGroup &stats() { return stats_; }
 
   private:
-    /** Execute the workload once; inject iff @p runSeed != nullptr.
-     * Appends per-node result signatures to @p nodeSigs. */
-    MeshRunResult execute(const uint64_t *runSeed,
-                          std::vector<uint64_t> &nodeSigs);
+    friend CampaignEngine;
+
+    /** Execute the workload once; inject iff @p runSeed != nullptr. */
+    MeshRunResult execute(const uint64_t *runSeed);
+
+    static void
+    mixGolden(Fnv &h, const MeshRunResult &g)
+    {
+        for (uint64_t sig : g.nodeSignatures)
+            h.mix(sig);
+    }
+
+    static void
+    mixRun(Fnv &h, const MeshRunResult &r)
+    {
+        h.mix(uint64_t(r.outcome));
+        h.mix(r.deadNodes);
+        h.mix(r.downLinks);
+        h.mix(r.survivorsWrong);
+        mixGolden(h, r);
+    }
 
     MeshCampaignConfig config_;
-    bool goldenValid_ = false;
-    std::vector<uint64_t> goldenNodeSigs_;
-    uint64_t goldenCycles_ = 0;
-    uint64_t campaignSignature_ = 0;
-    std::vector<MeshRunResult> results_;
-    sim::StatGroup stats_{"mesh_campaign"};
 };
 
 } // namespace gp::fault

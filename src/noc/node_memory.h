@@ -42,6 +42,8 @@ namespace gp::noc {
 /// VA bits 53..48 name the home node of an address.
 inline constexpr unsigned kNodeShift = 48;
 inline constexpr uint64_t kNodeMask = 0x3f;
+/// The most nodes a mesh can have: one per home-node id.
+inline constexpr unsigned kMaxNodes = unsigned(kNodeMask) + 1;
 
 /** @return the home node id encoded in a virtual address. */
 inline unsigned

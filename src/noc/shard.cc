@@ -16,6 +16,10 @@ ShardedMesh::ShardedMesh(const ShardConfig &config)
     const unsigned nodes = mesh_.nodeCount();
     if (nodes == 0)
         sim::fatal("sharded mesh: empty mesh");
+    if (nodes > kMaxNodes)
+        sim::fatal("sharded mesh: %u nodes, but VA bits 53..48 name at "
+                   "most %u home nodes",
+                   nodes, kMaxNodes);
 
     global_.setEccMode(config_.node.ecc);
 

@@ -4,19 +4,6 @@
 
 namespace gp::sim {
 
-namespace {
-
-/** splitmix64 finalizer: decorrelates per-site seeds. */
-uint64_t
-mix64(uint64_t z)
-{
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
-} // namespace
-
 FaultSite
 faultSiteFromName(std::string_view name)
 {
@@ -48,8 +35,7 @@ FaultInjector::arm(const FaultConfig &cfg)
         // Per-site streams: master seed mixed with a site-dependent
         // constant, so each site's draw sequence is independent of
         // every other site's opportunity count.
-        streams_[i] = Rng(mix64(cfg.seed ^ (0x9e3779b97f4a7c15ull *
-                                            (uint64_t(i) + 1))));
+        streams_[i] = Rng(deriveSeed(cfg.seed, i));
         fired_[i] = 0;
     }
     stats_.resetAll();

@@ -18,6 +18,25 @@
 
 namespace gp::sim {
 
+/** splitmix64 finalizer: decorrelates nearby seeds. */
+constexpr uint64_t
+mix64(uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+}
+
+/**
+ * Seed of the @p index-th stream under master seed @p seed: one
+ * injector stream per fault site, one campaign run per index.
+ */
+constexpr uint64_t
+deriveSeed(uint64_t seed, uint64_t index)
+{
+    return mix64(seed ^ (0x9e3779b97f4a7c15ull * (index + 1)));
+}
+
 /** Deterministic 64-bit PRNG (xoshiro256**). */
 class Rng
 {
@@ -29,10 +48,7 @@ class Rng
         for (auto &word : state_) {
             // splitmix64 step: decorrelates consecutive seeds.
             x += 0x9e3779b97f4a7c15ull;
-            uint64_t z = x;
-            z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-            z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-            word = z ^ (z >> 31);
+            word = mix64(x);
         }
     }
 

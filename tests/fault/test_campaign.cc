@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "fault/campaign.h"
+#include "fault/mesh_campaign.h"
 
 namespace gp::fault {
 namespace {
@@ -189,6 +190,56 @@ TEST(Campaign, OutcomeNamesAreStable)
     EXPECT_EQ(outcomeName(Outcome::DetectedFault), "detected-fault");
     EXPECT_EQ(outcomeName(Outcome::Sdc), "silent-data-corruption");
     EXPECT_EQ(outcomeName(Outcome::CrashHang), "crash-hang");
+}
+
+CampaignConfig
+digestConfig()
+{
+    CampaignConfig cc;
+    cc.runs = 16;
+    cc.seed = 9;
+    cc.faults.rate[unsigned(sim::FaultSite::MemDataBit)] = 5e-4;
+    cc.faults.rate[unsigned(sim::FaultSite::TlbCorrupt)] = 2e-4;
+    return cc;
+}
+
+TEST(Campaign, DigestRepeatsAcrossRunAllCalls)
+{
+    CampaignRunner runner(digestConfig());
+    runner.runAll();
+    const uint64_t first = runner.campaignSignature();
+    runner.runAll();
+    EXPECT_EQ(runner.campaignSignature(), first);
+
+    // ... and it does depend on the campaign: another seed moves it.
+    CampaignConfig other = digestConfig();
+    other.seed = 10;
+    CampaignRunner moved(other);
+    moved.runAll();
+    EXPECT_NE(moved.campaignSignature(), first);
+}
+
+TEST(Campaign, DigestUnchangedByCheckElision)
+{
+    // The digest hashes outcomes and data-image signatures, never
+    // cycles, and elision changes neither.
+    CampaignConfig cc = digestConfig();
+    CampaignRunner off(cc);
+    cc.elideChecks = true;
+    CampaignRunner on(cc);
+    off.runAll();
+    on.runAll();
+    EXPECT_EQ(off.campaignSignature(), on.campaignSignature());
+}
+
+TEST(Campaign, EveryFaultSiteBelongsToExactlyOneArm)
+{
+    for (unsigned i = 0; i < sim::kFaultSiteCount; ++i) {
+        const auto site = static_cast<sim::FaultSite>(i);
+        EXPECT_NE(CampaignRunner::wires(site),
+                  MeshCampaignRunner::wires(site))
+            << sim::faultSiteName(site);
+    }
 }
 
 TEST(Campaign, StatsTablePublished)

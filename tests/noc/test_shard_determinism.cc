@@ -145,6 +145,17 @@ TEST(ShardDeterminism, OversizedHorizonClampedToLookahead)
     EXPECT_EQ(shard.epochHorizon(), shard.mesh().minMessageLatency());
 }
 
+TEST(ShardDeterminism, MoreNodesThanHomeIdsIsFatal)
+{
+    // VA bits 53..48 name the home node: a 65th node has no address.
+    ShardConfig cfg;
+    cfg.mesh.dimX = 65;
+    cfg.mesh.dimY = 1;
+    cfg.mesh.dimZ = 1;
+    EXPECT_EXIT(ShardedMesh{cfg}, ::testing::ExitedWithCode(1),
+                "65 nodes.*at most 64");
+}
+
 TEST(ShardDeterminism, ShardRangesPartitionTheMesh)
 {
     ShardConfig cfg = meshConfig(3); // uneven split of 8 nodes

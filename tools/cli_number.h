@@ -8,6 +8,8 @@
  * abort. Tools parse every numeric flag through numberArg() instead:
  * the whole string must be a number, in range, with no sign, and bad
  * input ends the run with a one-line message and exit status 2.
+ * meshArg() and eccArg() do the same for a --mesh X,Y,Z geometry
+ * and an --ecc mode.
  */
 
 #ifndef GP_TOOLS_CLI_NUMBER_H
@@ -20,7 +22,38 @@
 #include <cstdlib>
 #include <string>
 
+#include "mem/ecc.h"
+
 namespace gp::tools {
+
+/**
+ * Match argv[@p i] against flag @p name, as "--name=V" or as "--name V"
+ * (which consumes the next argument). @return true with @p out = V
+ * when it matches with a value.
+ */
+inline bool
+flagValue(int argc, char **argv, int &i, const char *name,
+          std::string &out)
+{
+    const std::string arg = argv[i];
+    const std::string prefix = std::string(name) + "=";
+    if (arg.rfind(prefix, 0) == 0) {
+        out = arg.substr(prefix.size());
+        return true;
+    }
+    if (arg != name || i + 1 >= argc)
+        return false;
+    out = argv[++i];
+    return !out.empty();
+}
+
+/** Print "<tool>: <message>" as one line and exit with status 2. */
+[[noreturn]] inline void
+badInput(const char *tool, const std::string &message)
+{
+    std::fprintf(stderr, "%s: %s\n", tool, message.c_str());
+    std::exit(2);
+}
 
 /**
  * Parse the value @p text of command-line flag @p flag as an unsigned
@@ -43,13 +76,51 @@ numberArg(const char *tool, const char *flag, const std::string &text,
             v <= max)
             return uint64_t(v);
     }
-    std::fprintf(stderr,
-                 "%s: bad value for %s: '%s' (want a%s integer in "
-                 "[0, %llu])\n",
-                 tool, flag, text.c_str(),
-                 base == 0 ? " decimal, 0x-hex or 0-octal" : " decimal",
-                 static_cast<unsigned long long>(max));
-    std::exit(2);
+    badInput(tool, std::string("bad value for ") + flag + ": '" + text +
+                       "' (want a" +
+                       (base == 0 ? " decimal, 0x-hex or 0-octal"
+                                  : " decimal") +
+                       " integer in [0, " + std::to_string(max) + "])");
+}
+
+/**
+ * Parse the --mesh geometry @p text, "X,Y,Z", into @p dims: three
+ * dimensions > 0 naming at most @p maxNodes nodes. Anything else
+ * prints a one-line "<tool>: bad --mesh geometry" message and exits
+ * with status 2.
+ */
+inline void
+meshArg(const char *tool, const std::string &text, unsigned maxNodes,
+        unsigned dims[3])
+{
+    unsigned long long d[3] = {};
+    char tail = 0;
+    if (std::sscanf(text.c_str(), "%llu,%llu,%llu%c", &d[0], &d[1], &d[2],
+                    &tail) == 3 &&
+        d[0] > 0 && d[1] > 0 && d[2] > 0 && d[0] <= maxNodes &&
+        d[1] <= maxNodes && d[2] <= maxNodes &&
+        d[0] * d[1] * d[2] <= maxNodes) {
+        for (unsigned i = 0; i < 3; ++i)
+            dims[i] = unsigned(d[i]);
+        return;
+    }
+    badInput(tool, "bad --mesh geometry: '" + text +
+                       "' (want X,Y,Z, each > 0, at most " +
+                       std::to_string(maxNodes) + " nodes)");
+}
+
+/** Parse an --ecc mode: off (or none), parity or secded. */
+inline mem::EccMode
+eccArg(const char *tool, const std::string &text)
+{
+    for (const auto m : {mem::EccMode::None, mem::EccMode::Parity,
+                         mem::EccMode::Secded}) {
+        if (text == mem::eccModeName(m))
+            return m;
+    }
+    if (text == "none")
+        return mem::EccMode::None;
+    badInput(tool, "bad --ecc mode: " + text);
 }
 
 } // namespace gp::tools

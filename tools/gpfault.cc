@@ -31,25 +31,31 @@
  * detected-fault, silent-data-corruption, hang}. The printed
  * "mesh campaign signature" is bit-identical for every --threads
  * value — CI cross-checks --threads 1 against --threads 4.
+ *
+ * Each arm fires only its own fault sites (--list-sites names them).
+ * A --rate for a site the selected arm never fires, or a flag only
+ * the other arm uses, is a one-line error with exit status 2 instead
+ * of a silent no-op.
  */
 
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "cli_number.h"
 #include "fault/campaign.h"
 #include "fault/mesh_campaign.h"
 #include "mem/ecc.h"
+#include "noc/node_memory.h"
 #include "sim/faultinject.h"
-#include "sim/log.h"
 #include "sim/stats_registry.h"
 
 using namespace gp;
+using gp::tools::badInput;
 using gp::tools::numberArg;
 
 namespace {
@@ -57,12 +63,15 @@ namespace {
 struct Options
 {
     fault::CampaignConfig campaign;
+    fault::MeshCampaignConfig meshCampaign;
+    bool mesh = false; //!< --mesh X,Y,Z given: run the mesh campaign
     std::string statsJson;
     bool verbose = false;
     bool expectZeroSdc = false;
     bool expectDetected = false;
-    bool mesh = false; //!< --mesh X,Y,Z given: run the mesh campaign
-    fault::MeshCampaignConfig meshCampaign;
+    std::vector<sim::FaultSite> rated; //!< every site given a --rate
+    std::string singleFlag; //!< a flag only the single arm uses
+    std::string meshFlag;   //!< a flag only the mesh arm uses
 };
 
 void
@@ -71,62 +80,67 @@ usage(const char *argv0)
     std::fprintf(
         stderr,
         "usage: %s [options]\n"
-        "  --runs N           injected runs (default 100)\n"
+        "  --runs N           injected runs (default 100; mesh 25)\n"
         "  --seed N           master seed (default 1)\n"
-        "  --iterations N     workload loop iterations (default 150)\n"
-        "  --ecc=MODE         off | parity | secded (default off)\n"
-        "  --walk-retries N   transient page-walk retries (default 0)\n"
+        "  --iterations N     workload loop iterations (default 150;\n"
+        "                     mesh 48)\n"
         "  --rate SITE=R      per-opportunity fault rate at SITE\n"
         "                     (repeatable; see --list-sites)\n"
+        "  --stats-json=FILE  export the campaign stat group as JSON\n"
+        "  --verbose          one line per run\n"
+        "  --list-sites       print each fault site and the arm that\n"
+        "                     fires it, and exit\n"
+        "  --expect-zero-sdc  exit 1 if any run is classified SDC\n"
+        "  --expect-detected  exit 1 if no run is detected-fault\n"
+        "single-machine campaign (the default arm):\n"
+        "  --ecc=MODE         off | parity | secded (default off)\n"
+        "  --walk-retries N   transient page-walk retries (default 0)\n"
         "  --burst-max-bits N max bits per cache-line burst (default 4)\n"
         "  --watchdog-cycles N  per-run hang budget (default 300000)\n"
-        "  --stats-json=FILE  export the campaign stat group as JSON\n"
         "  --elide-checks     arm verifier-driven check elision; the\n"
         "                     outcome table must match the elide-off\n"
         "                     campaign bit for bit (injected runs\n"
         "                     auto-disable elision)\n"
-        "  --verbose          one line per run\n"
-        "  --list-sites       print the fault-site names and exit\n"
-        "  --expect-zero-sdc  exit 1 if any run is classified SDC\n"
-        "  --expect-detected  exit 1 if no run is detected-fault\n"
         "mesh campaign (multi-node fail-stop resilience):\n"
         "  --mesh X,Y,Z       run the mesh campaign on an XxYxZ mesh\n"
-        "                     (sites: node-fail-stop, link-down, plus\n"
-        "                     the noc-* transients)\n"
+        "                     (at most 64 nodes)\n"
         "  --threads N        host threads per run (default 1); the\n"
         "                     printed campaign signature is identical\n"
         "                     for every value\n"
         "  --max-cycles N     per-run cycle budget (default 400000)\n"
         "  --mesh-watchdog N  mesh quiescence window (default 20000)\n"
-        "  --no-retrans       disable the end-to-end retry protocol\n",
+        "  --no-retrans       disable the end-to-end retry protocol\n"
+        "exit status: 0 done, 1 an --expect-* tripwire failed,\n"
+        "             2 bad input (nothing ran)\n",
         argv0);
+}
+
+const char *
+armName(bool mesh)
+{
+    return mesh ? "mesh" : "single-machine";
 }
 
 void
 listSites()
 {
     for (unsigned i = 0; i < sim::kFaultSiteCount; ++i) {
-        std::printf("%s\n",
-                    std::string(sim::faultSiteName(
-                                    static_cast<sim::FaultSite>(i)))
-                        .c_str());
+        const auto site = static_cast<sim::FaultSite>(i);
+        std::printf("%-18s %s\n",
+                    std::string(sim::faultSiteName(site)).c_str(),
+                    armName(fault::MeshCampaignRunner::wires(site)));
     }
 }
 
-bool
-parseRate(const std::string &spec, sim::FaultConfig &fc)
+void
+parseRate(const std::string &spec, Options &opts)
 {
     const size_t eq = spec.find('=');
-    if (eq == std::string::npos)
-        return false;
     const std::string name = spec.substr(0, eq);
     const sim::FaultSite site = sim::faultSiteFromName(name);
-    if (site == sim::FaultSite::Count) {
-        std::fprintf(stderr, "gpfault: unknown fault site '%s' "
-                             "(try --list-sites)\n",
-                     name.c_str());
-        return false;
-    }
+    if (eq == std::string::npos || site == sim::FaultSite::Count)
+        badInput("gpfault", "unknown fault site '" + name +
+                                "' (try --list-sites)");
     // Checked like every numeric flag (cli_number.h): the whole value
     // must parse, as a finite non-negative rate.
     const std::string text = spec.substr(eq + 1);
@@ -136,13 +150,11 @@ parseRate(const std::string &spec, sim::FaultConfig &fc)
     if (text.empty() || errno == ERANGE ||
         end != text.c_str() + text.size() || !(rate >= 0) ||
         !std::isfinite(rate)) {
-        std::fprintf(stderr, "gpfault: bad rate for '%s': '%s' (want "
-                             "a finite number >= 0)\n",
-                     name.c_str(), text.c_str());
-        std::exit(2);
+        badInput("gpfault", "bad rate for '" + name + "': '" + text +
+                                "' (want a finite number >= 0)");
     }
-    fc.rate[static_cast<unsigned>(site)] = rate;
-    return true;
+    opts.campaign.faults.rate[static_cast<unsigned>(site)] = rate;
+    opts.rated.push_back(site);
 }
 
 bool
@@ -151,23 +163,8 @@ parseArgs(int argc, char **argv, Options &opts, bool &exitEarly)
     exitEarly = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        auto valueOf = [&](const char *name,
-                           std::string &out) -> bool {
-            const std::string prefix = std::string(name) + "=";
-            if (arg.rfind(prefix, 0) == 0) {
-                out = arg.substr(prefix.size());
-                return true;
-            }
-            if (arg == name) {
-                const char *v = next();
-                if (v)
-                    out = v;
-                return !out.empty();
-            }
-            return false;
+        auto valueOf = [&](const char *name, std::string &out) {
+            return tools::flagValue(argc, argv, i, name, out);
         };
         std::string value;
         if (arg == "--list-sites") {
@@ -190,6 +187,7 @@ parseArgs(int argc, char **argv, Options &opts, bool &exitEarly)
         if (arg == "--elide-checks" ||
             arg == "--elide-checks=verified") {
             opts.campaign.elideChecks = true;
+            opts.singleFlag = "--elide-checks";
             continue;
         }
         if (valueOf("--runs", value)) {
@@ -212,16 +210,19 @@ parseArgs(int argc, char **argv, Options &opts, bool &exitEarly)
         if (valueOf("--walk-retries", value)) {
             opts.campaign.walkRetries = unsigned(numberArg(
                 "gpfault", "--walk-retries", value, UINT32_MAX));
+            opts.singleFlag = "--walk-retries";
             continue;
         }
         if (valueOf("--burst-max-bits", value)) {
             opts.campaign.faults.burstMaxBits =
                 numberArg("gpfault", "--burst-max-bits", value);
+            opts.singleFlag = "--burst-max-bits";
             continue;
         }
         if (valueOf("--watchdog-cycles", value)) {
             opts.campaign.watchdogCycles =
                 numberArg("gpfault", "--watchdog-cycles", value);
+            opts.singleFlag = "--watchdog-cycles";
             continue;
         }
         if (valueOf("--stats-json", value)) {
@@ -229,58 +230,44 @@ parseArgs(int argc, char **argv, Options &opts, bool &exitEarly)
             continue;
         }
         if (valueOf("--rate", value)) {
-            if (!parseRate(value, opts.campaign.faults))
-                return false;
-            opts.meshCampaign.faults = opts.campaign.faults;
+            parseRate(value, opts);
             continue;
         }
         if (valueOf("--mesh", value)) {
-            unsigned x = 0, y = 0, z = 0;
-            if (std::sscanf(value.c_str(), "%u,%u,%u", &x, &y, &z) !=
-                    3 ||
-                x == 0 || y == 0 || z == 0) {
-                std::fprintf(stderr,
-                             "gpfault: bad --mesh geometry: %s\n",
-                             value.c_str());
-                return false;
-            }
+            unsigned dims[3];
+            tools::meshArg("gpfault", value, noc::kMaxNodes, dims);
             opts.mesh = true;
-            opts.meshCampaign.dimX = x;
-            opts.meshCampaign.dimY = y;
-            opts.meshCampaign.dimZ = z;
+            opts.meshCampaign.dimX = dims[0];
+            opts.meshCampaign.dimY = dims[1];
+            opts.meshCampaign.dimZ = dims[2];
             continue;
         }
         if (valueOf("--threads", value)) {
             opts.meshCampaign.hostThreads = unsigned(
                 numberArg("gpfault", "--threads", value, UINT32_MAX));
+            opts.meshFlag = "--threads";
             continue;
         }
         if (valueOf("--max-cycles", value)) {
             opts.meshCampaign.maxCycles =
                 numberArg("gpfault", "--max-cycles", value);
+            opts.meshFlag = "--max-cycles";
             continue;
         }
         if (valueOf("--mesh-watchdog", value)) {
             opts.meshCampaign.meshWatchdogCycles =
                 numberArg("gpfault", "--mesh-watchdog", value);
+            opts.meshFlag = "--mesh-watchdog";
             continue;
         }
         if (arg == "--no-retrans") {
             opts.meshCampaign.retrans.enabled = false;
+            opts.meshFlag = "--no-retrans";
             continue;
         }
         if (valueOf("--ecc", value)) {
-            if (value == "off" || value == "none") {
-                opts.campaign.ecc = mem::EccMode::None;
-            } else if (value == "parity") {
-                opts.campaign.ecc = mem::EccMode::Parity;
-            } else if (value == "secded") {
-                opts.campaign.ecc = mem::EccMode::Secded;
-            } else {
-                std::fprintf(stderr, "gpfault: bad --ecc mode: %s\n",
-                             value.c_str());
-                return false;
-            }
+            opts.campaign.ecc = tools::eccArg("gpfault", value);
+            opts.singleFlag = "--ecc";
             continue;
         }
         std::fprintf(stderr, "gpfault: unknown option: %s\n",
@@ -290,72 +277,54 @@ parseArgs(int argc, char **argv, Options &opts, bool &exitEarly)
     return true;
 }
 
-/** The multi-node fail-stop arm of the driver (--mesh X,Y,Z). */
+/**
+ * Run one campaign arm and report it: per-run lines (--verbose), the
+ * arm's @p header, the outcome table, the campaign signature, the
+ * stats JSON and the --expect-* exit status. Both arms report here;
+ * they differ only in the header and in the per-run counts
+ * @p runCounts formats for --verbose.
+ */
+template <class Runner, class RunCounts, class Header>
 int
-runMeshCampaign(const Options &opts)
+runCampaign(const Options &opts, const typename Runner::Config &cfg,
+            std::ofstream &stats, RunCounts runCounts, Header header)
 {
-    fault::MeshCampaignRunner runner(opts.meshCampaign);
-    const fault::MeshCampaignTotals totals = runner.runAll();
+    Runner runner(cfg);
+    const auto totals = runner.runAll();
 
     if (opts.verbose) {
         const auto &results = runner.results();
         for (size_t i = 0; i < results.size(); ++i) {
-            const fault::MeshRunResult &r = results[i];
+            const auto &r = results[i];
             std::printf(
-                "run %4zu: %-23s cycles=%-7llu inj=%-3llu "
-                "dead=%llu links=%llu detours=%llu unreach=%llu "
-                "fault=%s\n",
-                i, std::string(meshOutcomeName(r.outcome)).c_str(),
+                "run %4zu: %-23s cycles=%-7llu inj=%-3llu %s fault=%s\n",
+                i, std::string(outcomeName(r.outcome)).c_str(),
                 (unsigned long long)r.cycles,
-                (unsigned long long)r.injections,
-                (unsigned long long)r.deadNodes,
-                (unsigned long long)r.downLinks,
-                (unsigned long long)r.detours,
-                (unsigned long long)r.unreachableFaults,
+                (unsigned long long)r.injections, runCounts(r).c_str(),
                 std::string(faultName(r.firstFault)).c_str());
         }
     }
 
-    const auto &mc = opts.meshCampaign;
-    std::printf("gpfault: mesh %ux%ux%u campaign, %llu runs, "
-                "%llu injections, %u host thread(s), retrans=%s, "
-                "golden=%llu cycles\n",
-                mc.dimX, mc.dimY, mc.dimZ,
-                (unsigned long long)totals.runs,
-                (unsigned long long)totals.totalInjections,
-                mc.hostThreads, mc.retrans.enabled ? "on" : "off",
-                (unsigned long long)totals.goldenCycles);
-    std::printf("  dead-nodes=%llu down-links=%llu detours=%llu "
-                "unreachable-faults=%llu\n",
-                (unsigned long long)totals.totalDeadNodes,
-                (unsigned long long)totals.totalDownLinks,
-                (unsigned long long)totals.totalDetours,
-                (unsigned long long)totals.totalUnreachableFaults);
-    for (unsigned o = 0; o < fault::kMeshOutcomeCount; ++o) {
+    header(totals);
+    using Outcome = typename Runner::Outcome;
+    for (unsigned o = 0; o < unsigned(Outcome::Count); ++o) {
         const uint64_t n = totals.perOutcome[o];
         std::printf("  %-23s %6llu  (%5.1f%%)\n",
-                    std::string(
-                        meshOutcomeName(fault::MeshOutcome(o)))
-                        .c_str(),
+                    std::string(outcomeName(Outcome(o))).c_str(),
                     (unsigned long long)n,
                     totals.runs
                         ? 100.0 * double(n) / double(totals.runs)
                         : 0.0);
     }
-    std::printf("gpfault: mesh campaign signature %016llx\n",
+    std::printf("gpfault: %scampaign signature %016llx\n",
+                opts.mesh ? "mesh " : "",
                 (unsigned long long)runner.campaignSignature());
 
-    if (!opts.statsJson.empty()) {
-        std::ofstream out(opts.statsJson, std::ios::trunc);
-        if (!out)
-            sim::fatal("cannot open stats file %s",
-                       opts.statsJson.c_str());
-        sim::StatRegistry::instance().exportJson(out);
-    }
+    if (stats.is_open())
+        sim::StatRegistry::instance().exportJson(stats);
 
-    const uint64_t sdc = totals.outcome(fault::MeshOutcome::Sdc);
-    const uint64_t detected =
-        totals.outcome(fault::MeshOutcome::DetectedFault);
+    const uint64_t sdc = totals.outcome(Outcome::Sdc);
+    const uint64_t detected = totals.outcome(Outcome::DetectedFault);
     if (opts.expectZeroSdc && sdc != 0) {
         std::fprintf(stderr,
                      "gpfault: FAIL: expected zero silent data "
@@ -386,72 +355,76 @@ main(int argc, char **argv)
     if (exitEarly)
         return 0;
 
-    if (opts.mesh)
-        return runMeshCampaign(opts);
-
-    fault::CampaignRunner runner(opts.campaign);
-    const fault::CampaignTotals totals = runner.runAll();
-
-    if (opts.verbose) {
-        const auto &results = runner.results();
-        for (size_t i = 0; i < results.size(); ++i) {
-            const fault::RunResult &r = results[i];
-            std::printf(
-                "run %4zu: %-23s cycles=%-7llu inj=%-3llu "
-                "eccC=%llu eccD=%llu walkT=%llu fault=%s\n",
-                i, std::string(outcomeName(r.outcome)).c_str(),
-                (unsigned long long)r.cycles,
-                (unsigned long long)r.injections,
-                (unsigned long long)r.eccCorrected,
-                (unsigned long long)r.eccDetected,
-                (unsigned long long)r.walkTransients,
-                std::string(faultName(r.firstFault)).c_str());
-        }
+    // Input the selected arm would ignore is an error, reported
+    // before anything runs.
+    if (opts.mesh && !opts.singleFlag.empty())
+        badInput("gpfault", opts.singleFlag +
+                                " is a single-machine campaign flag; "
+                                "the mesh arm (--mesh) never uses it");
+    if (!opts.mesh && !opts.meshFlag.empty())
+        badInput("gpfault", opts.meshFlag +
+                                " is a mesh campaign flag; the "
+                                "single-machine arm never uses it "
+                                "(add --mesh X,Y,Z)");
+    for (sim::FaultSite site : opts.rated) {
+        if (opts.mesh ? !fault::MeshCampaignRunner::wires(site)
+                      : !fault::CampaignRunner::wires(site))
+            badInput("gpfault",
+                     "--rate " + std::string(sim::faultSiteName(site)) +
+                         ": the " + armName(opts.mesh) +
+                         " arm never fires this site (see --list-sites)");
     }
-
-    std::printf("gpfault: %llu runs, %llu injections, ecc=%s, "
-                "walk-retries=%u%s, golden=%llu cycles\n",
-                (unsigned long long)totals.runs,
-                (unsigned long long)totals.totalInjections,
-                std::string(mem::eccModeName(opts.campaign.ecc))
-                    .c_str(),
-                opts.campaign.walkRetries,
-                opts.campaign.elideChecks ? ", elide-checks" : "",
-                (unsigned long long)totals.goldenCycles);
-    for (unsigned o = 0; o < fault::kOutcomeCount; ++o) {
-        const uint64_t n = totals.perOutcome[o];
-        std::printf("  %-23s %6llu  (%5.1f%%)\n",
-                    std::string(outcomeName(fault::Outcome(o)))
-                        .c_str(),
-                    (unsigned long long)n,
-                    totals.runs ? 100.0 * double(n) /
-                                      double(totals.runs)
-                                : 0.0);
-    }
-
+    std::ofstream stats;
     if (!opts.statsJson.empty()) {
-        std::ofstream out(opts.statsJson, std::ios::trunc);
-        if (!out)
-            sim::fatal("cannot open stats file %s",
-                       opts.statsJson.c_str());
-        sim::StatRegistry::instance().exportJson(out);
+        stats.open(opts.statsJson, std::ios::trunc);
+        if (!stats)
+            badInput("gpfault", "cannot open stats file " + opts.statsJson);
     }
 
-    const uint64_t sdc = totals.outcome(fault::Outcome::Sdc);
-    const uint64_t detected =
-        totals.outcome(fault::Outcome::DetectedFault);
-    if (opts.expectZeroSdc && sdc != 0) {
-        std::fprintf(stderr,
-                     "gpfault: FAIL: expected zero silent data "
-                     "corruption, saw %llu run(s)\n",
-                     (unsigned long long)sdc);
-        return 1;
+    if (opts.mesh) {
+        fault::MeshCampaignConfig &mc = opts.meshCampaign;
+        mc.faults = opts.campaign.faults;
+        return runCampaign<fault::MeshCampaignRunner>(
+            opts, mc, stats,
+            [](const fault::MeshRunResult &r) {
+                return "dead=" + std::to_string(r.deadNodes) +
+                       " links=" + std::to_string(r.downLinks) +
+                       " detours=" + std::to_string(r.detours) +
+                       " unreach=" + std::to_string(r.unreachableFaults);
+            },
+            [&mc](const fault::MeshCampaignTotals &t) {
+                std::printf(
+                    "gpfault: mesh %ux%ux%u campaign, %llu runs, "
+                    "%llu injections, %u host thread(s), retrans=%s, "
+                    "golden=%llu cycles\n",
+                    mc.dimX, mc.dimY, mc.dimZ, (unsigned long long)t.runs,
+                    (unsigned long long)t.totalInjections,
+                    mc.hostThreads, mc.retrans.enabled ? "on" : "off",
+                    (unsigned long long)t.goldenCycles);
+                std::printf("  dead-nodes=%llu down-links=%llu "
+                            "detours=%llu unreachable-faults=%llu\n",
+                            (unsigned long long)t.totalDeadNodes,
+                            (unsigned long long)t.totalDownLinks,
+                            (unsigned long long)t.totalDetours,
+                            (unsigned long long)t.totalUnreachableFaults);
+            });
     }
-    if (opts.expectDetected && detected == 0) {
-        std::fprintf(stderr,
-                     "gpfault: FAIL: expected detected-fault runs, "
-                     "saw none\n");
-        return 1;
-    }
-    return 0;
+    const fault::CampaignConfig &cc = opts.campaign;
+    return runCampaign<fault::CampaignRunner>(
+        opts, cc, stats,
+        [](const fault::RunResult &r) {
+            return "eccC=" + std::to_string(r.eccCorrected) +
+                   " eccD=" + std::to_string(r.eccDetected) +
+                   " walkT=" + std::to_string(r.walkTransients);
+        },
+        [&cc](const fault::CampaignTotals &t) {
+            std::printf("gpfault: %llu runs, %llu injections, ecc=%s, "
+                        "walk-retries=%u%s, golden=%llu cycles\n",
+                        (unsigned long long)t.runs,
+                        (unsigned long long)t.totalInjections,
+                        std::string(mem::eccModeName(cc.ecc)).c_str(),
+                        cc.walkRetries,
+                        cc.elideChecks ? ", elide-checks" : "",
+                        (unsigned long long)t.goldenCycles);
+        });
 }

@@ -11,23 +11,30 @@
  * Usage:
  *   gpsim prog.s [--threads N] [--data BYTES] [--clusters N]
  *                [--issue-width N] [--max-cycles N]
- *                [--ecc=off|parity|secded] [--walk-retries N]
+ *                [--ecc=off|parity|secded] [--mesh X,Y,Z]
  *                [--trace[=CATS]] [--trace-out=FILE]
  *                [--flight-recorder=N] [--stats-json=FILE]
  *                [--profile[=MODES]] [--profile-out=FILE]
  *                [--profile-interval=N]
  *                [--dump-regs] [--dump-stats] [--privileged]
  *
+ * --mesh X,Y,Z runs the same pipeline on a sharded multicomputer:
+ * gpsim builds either the kernel's machine or the mesh, and from
+ * there verification, loading, observers, the run, the report, the
+ * exports and the exit status are shared.
+ *
  * Robustness: --max-cycles arms the machine watchdog, so a hung or
  * livelocked program dies with a structured WatchdogTimeout fault
  * (and a flight-recorder dump when one is armed) instead of just
- * running out the budget silently; gpsim exits 3 in that case.
+ * running out the budget silently; gpsim exits 3 in that case. Bad
+ * input (flags, paths, combinations) exits 2 with one line before
+ * anything runs; a fault or a refused --verify exits 1.
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -39,24 +46,27 @@
 #include "mem/ecc.h"
 #include "noc/shard.h"
 #include "os/kernel.h"
-#include "sim/log.h"
 #include "sim/profile.h"
 #include "sim/stats_registry.h"
 #include "sim/trace.h"
 #include "verify/verifier.h"
 
 using namespace gp;
+using gp::tools::badInput;
 using gp::tools::numberArg;
 
 namespace {
+
+/// In mesh mode r1 is a read/write pointer to the whole 2^54-byte
+/// global space.
+constexpr unsigned kMeshSpaceLog2 = 54;
 
 struct Options
 {
     std::string source;
     unsigned threads = 1;
-    bool threadsSet = false;
     bool mesh = false;            //!< sharded multicomputer mode
-    unsigned meshX = 0, meshY = 0, meshZ = 0;
+    unsigned meshDims[3] = {};    //!< X, Y, Z
     uint64_t epochHorizon = 0;    //!< 0 = derive from link latency
     bool profileIntervalSet = false;
     uint64_t dataBytes = 4096;
@@ -64,7 +74,6 @@ struct Options
     unsigned issueWidth = 1;
     uint64_t maxCycles = 10'000'000;
     mem::EccMode ecc = mem::EccMode::None;
-    unsigned walkRetries = 0;
     bool dumpRegs = false;
     bool dumpStats = false;
     bool privileged = false;
@@ -92,12 +101,14 @@ usage(const char *argv0)
         "  --threads N      spawn N copies of the program (default 1);\n"
         "                   with --mesh, N is the HOST thread count\n"
         "                   simulating the mesh (results identical for\n"
-        "                   every N; N=1 is today's serial path)\n"
+        "                   every N; an observed run, with --profile,\n"
+        "                   --trace* or --flight-recorder, uses 1)\n"
         "  --mesh X,Y,Z     multicomputer mode: load the program on\n"
-        "                   every node of an X*Y*Z mesh (one thread\n"
-        "                   per node, r1 = full-space RW pointer,\n"
-        "                   r2 = node id) under the sharded epoch\n"
-        "                   engine; prints a deterministic signature\n"
+        "                   every node of an X*Y*Z mesh of at most 64\n"
+        "                   nodes (one thread per node, r1 = full-space\n"
+        "                   RW pointer, r2 = node id) under the sharded\n"
+        "                   epoch engine; prints a deterministic\n"
+        "                   signature\n"
         "  --epoch-horizon N  cycles per epoch in --mesh mode\n"
         "                   (default/max: the mesh lookahead)\n"
         "  --mesh-watchdog N  distributed quiescence watchdog: trip\n"
@@ -112,8 +123,6 @@ usage(const char *argv0)
         "                   exit status 3 (default 10M)\n"
         "  --ecc=MODE       memory protection over stored words:\n"
         "                   off | parity | secded (default off)\n"
-        "  --walk-retries N retry transient page-walk failures up to\n"
-        "                   N times (default 0)\n"
         "  --privileged     load as privileged code\n"
         "  --fast           functional-only mode: skip the timing\n"
         "                   model entirely (identical registers,\n"
@@ -121,8 +130,9 @@ usage(const char *argv0)
         "                   accounting — never use for timing\n"
         "                   measurements)\n"
         "  --verify[=strict] statically verify capability safety\n"
-        "                   before running; abort on errors (strict:\n"
-        "                   abort on warnings too)\n"
+        "                   under the entry state above before\n"
+        "                   running; abort on errors (strict: abort\n"
+        "                   on warnings too)\n"
         "  --elide-checks=verified  skip runtime checks the verifier\n"
         "                   proves can never fire (identical\n"
         "                   architectural outcomes, fewer cycles);\n"
@@ -148,7 +158,9 @@ usage(const char *argv0)
         "  --profile-interval=N time-series snapshot period in\n"
         "                   cycles (default 4096)\n"
         "  --dump-regs      print final registers of every thread\n"
-        "  --dump-stats     print statistics from every component\n",
+        "  --dump-stats     print statistics from every component\n"
+        "exit status: 0 every thread halted, 1 a fault or a refused\n"
+        "--verify, 2 bad input (nothing ran), 3 watchdog trip\n",
         argv0);
 }
 
@@ -160,43 +172,12 @@ parseArgs(int argc, char **argv, Options &opts)
     opts.source = argv[1];
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        // "--name=value" handling for the observability flags.
-        auto valueOf = [&](const char *name,
-                           std::string &out) -> bool {
-            const std::string prefix = std::string(name) + "=";
-            if (arg.rfind(prefix, 0) == 0) {
-                out = arg.substr(prefix.size());
-                return true;
-            }
-            if (arg == name) {
-                const char *v = next();
-                if (v)
-                    out = v;
-                return !out.empty();
-            }
-            return false;
+        auto valueOf = [&](const char *name, std::string &out) {
+            return tools::flagValue(argc, argv, i, name, out);
         };
         std::string value;
         if (valueOf("--ecc", value)) {
-            if (value == "off" || value == "none") {
-                opts.ecc = mem::EccMode::None;
-            } else if (value == "parity") {
-                opts.ecc = mem::EccMode::Parity;
-            } else if (value == "secded") {
-                opts.ecc = mem::EccMode::Secded;
-            } else {
-                std::fprintf(stderr, "bad --ecc mode: %s\n",
-                             value.c_str());
-                return false;
-            }
-            continue;
-        }
-        if (valueOf("--walk-retries", value)) {
-            opts.walkRetries = unsigned(
-                numberArg("gpsim", "--walk-retries", value, UINT32_MAX));
+            opts.ecc = tools::eccArg("gpsim", value);
             continue;
         }
         if (arg == "--verify" || arg == "--verify=strict") {
@@ -209,12 +190,10 @@ parseArgs(int argc, char **argv, Options &opts)
             opts.elideChecks = true;
             continue;
         }
-        if (arg.rfind("--elide-checks=", 0) == 0) {
-            std::fprintf(stderr, "bad --elide-checks mode: %s "
-                         "(only 'verified' is supported)\n",
-                         arg.c_str() + 15);
-            return false;
-        }
+        if (arg.rfind("--elide-checks=", 0) == 0)
+            badInput("gpsim", "bad --elide-checks mode: " +
+                                  arg.substr(15) +
+                                  " (only 'verified' is supported)");
         if (valueOf("--proofs", value)) {
             opts.proofsFile = value;
             continue;
@@ -223,11 +202,8 @@ parseArgs(int argc, char **argv, Options &opts)
             const std::string spec =
                 arg == "--trace" ? "exec" : arg.substr(8);
             auto mask = sim::parseTraceMask(spec);
-            if (!mask) {
-                std::fprintf(stderr, "bad trace categories: %s\n",
-                             spec.c_str());
-                return false;
-            }
+            if (!mask)
+                badInput("gpsim", "bad trace categories: " + spec);
             opts.traceMask = *mask;
             continue;
         }
@@ -254,28 +230,19 @@ parseArgs(int argc, char **argv, Options &opts)
             const std::string spec =
                 arg == "--profile" ? "pc,domain,interval,stacks"
                                    : arg.substr(10);
-            size_t pos = 0;
-            while (pos <= spec.size()) {
-                const size_t comma = spec.find(',', pos);
-                const std::string mode = spec.substr(
-                    pos, comma == std::string::npos ? std::string::npos
-                                                    : comma - pos);
-                if (mode == "pc") {
-                    opts.profileConfig.pc = true;
-                } else if (mode == "domain") {
-                    opts.profileConfig.domain = true;
-                } else if (mode == "interval") {
-                    opts.profileConfig.interval = true;
-                } else if (mode == "stacks") {
-                    opts.profileConfig.stacks = true;
-                } else {
-                    std::fprintf(stderr, "bad profile mode: %s\n",
-                                 mode.c_str());
-                    return false;
-                }
-                if (comma == std::string::npos)
-                    break;
-                pos = comma + 1;
+            sim::ProfileConfig &pc = opts.profileConfig;
+            for (size_t pos = 0, comma = 0; comma != std::string::npos;
+                 pos = comma + 1) {
+                comma = spec.find(',', pos);
+                const std::string mode = spec.substr(pos, comma - pos);
+                bool *on = mode == "pc"         ? &pc.pc
+                           : mode == "domain"   ? &pc.domain
+                           : mode == "interval" ? &pc.interval
+                           : mode == "stacks"   ? &pc.stacks
+                                                : nullptr;
+                if (!on)
+                    badInput("gpsim", "bad profile mode: " + mode);
+                *on = true;
             }
             continue;
         }
@@ -291,20 +258,8 @@ parseArgs(int argc, char **argv, Options &opts)
             continue;
         }
         if (valueOf("--mesh", value)) {
-            unsigned x = 0, y = 0, z = 0;
-            if (std::sscanf(value.c_str(), "%u,%u,%u", &x, &y, &z) !=
-                    3 ||
-                x == 0 || y == 0 || z == 0) {
-                std::fprintf(stderr,
-                             "bad --mesh geometry: %s (want X,Y,Z "
-                             "with all dimensions > 0)\n",
-                             value.c_str());
-                return false;
-            }
+            tools::meshArg("gpsim", value, noc::kMaxNodes, opts.meshDims);
             opts.mesh = true;
-            opts.meshX = x;
-            opts.meshY = y;
-            opts.meshZ = z;
             continue;
         }
         if (valueOf("--epoch-horizon", value)) {
@@ -312,35 +267,19 @@ parseArgs(int argc, char **argv, Options &opts)
                 numberArg("gpsim", "--epoch-horizon", value);
             continue;
         }
-        if (arg == "--threads") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.threads =
-                unsigned(numberArg("gpsim", "--threads", v, UINT32_MAX));
-            opts.threadsSet = true;
-        } else if (arg == "--data") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.dataBytes = numberArg("gpsim", "--data", v);
-        } else if (arg == "--clusters") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.clusters =
-                unsigned(numberArg("gpsim", "--clusters", v, UINT32_MAX));
-        } else if (arg == "--issue-width") {
-            const char *v = next();
-            if (!v)
-                return false;
+        if (valueOf("--threads", value)) {
+            opts.threads = unsigned(
+                numberArg("gpsim", "--threads", value, UINT32_MAX));
+        } else if (valueOf("--data", value)) {
+            opts.dataBytes = numberArg("gpsim", "--data", value);
+        } else if (valueOf("--clusters", value)) {
+            opts.clusters = unsigned(
+                numberArg("gpsim", "--clusters", value, UINT32_MAX));
+        } else if (valueOf("--issue-width", value)) {
             opts.issueWidth = unsigned(
-                numberArg("gpsim", "--issue-width", v, UINT32_MAX));
-        } else if (arg == "--max-cycles") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.maxCycles = numberArg("gpsim", "--max-cycles", v);
+                numberArg("gpsim", "--issue-width", value, UINT32_MAX));
+        } else if (valueOf("--max-cycles", value)) {
+            opts.maxCycles = numberArg("gpsim", "--max-cycles", value);
         } else if (arg == "--dump-regs") {
             opts.dumpRegs = true;
         } else if (arg == "--dump-stats") {
@@ -357,12 +296,20 @@ parseArgs(int argc, char **argv, Options &opts)
     return true;
 }
 
+/** @return true when a process-wide observer is attached. */
+bool
+observed(const Options &opts)
+{
+    return opts.profile || opts.traceMask != 0 || !opts.traceOut.empty() ||
+           opts.flightRecorder > 0;
+}
+
 /**
- * Reject mutually inconsistent flag combinations up front with a
- * clear diagnostic, instead of silently degrading mid-run. Returns
- * nullptr when the options are coherent.
+ * Reject bad values and meaningless flag combinations up front with a
+ * clear diagnostic, instead of silently degrading mid-run. Returns ""
+ * when the options are coherent.
  */
-const char *
+std::string
 validateOptions(const Options &opts)
 {
     if (opts.threads == 0)
@@ -371,6 +318,15 @@ validateOptions(const Options &opts)
         return "--clusters must be at least 1";
     if (opts.issueWidth == 0)
         return "--issue-width must be at least 1";
+    if (opts.dataBytes == 0)
+        return "--data must be at least 1";
+    const uint64_t slots = uint64_t(opts.clusters) *
+                           isa::MachineConfig{}.threadsPerCluster;
+    if (!opts.mesh && opts.threads > slots)
+        return "--threads " + std::to_string(opts.threads) +
+               " exceeds the " + std::to_string(slots) +
+               " hardware thread slots of " +
+               std::to_string(opts.clusters) + " cluster(s)";
     if (!opts.proofsFile.empty() && !opts.elideChecks)
         return "--proofs requires --elide-checks";
     if (opts.profileIntervalSet && !opts.profile)
@@ -379,186 +335,38 @@ validateOptions(const Options &opts)
         return "--epoch-horizon requires --mesh";
     if (opts.meshWatchdog != 0 && !opts.mesh)
         return "--mesh-watchdog requires --mesh";
-    if (opts.fastMode) {
-        if (opts.mesh)
-            return "--fast is functional-only and cannot drive the "
-                   "mesh timing model; drop --fast or --mesh";
-        if (opts.profile)
-            return "--fast skips the timing model, so there are no "
-                   "cycles to profile; drop --fast or --profile";
-    }
-    if (opts.mesh) {
-        // The verifier pipeline is single-machine: it assumes one
-        // Machine owns the process-wide singleton state, which a
-        // sharded mesh does not satisfy.
-        if (opts.profile && opts.threads > 1)
-            return "--profile aggregates into a process-wide "
-                   "singleton and is only available in mesh mode "
-                   "with --threads 1 (results are identical)";
-        if (opts.profile && opts.profileIntervalSet)
-            return "--profile-interval snapshots are per-machine "
-                   "and not mesh-aware; drop --profile-interval";
-        if (opts.verify || opts.elideChecks)
-            return "--verify/--elide-checks analyse a single-machine "
-                   "entry state and are not available with --mesh";
-        if (opts.threads > 1) {
-            // The trace sinks and flight recorder are process-wide
-            // singletons with no shard-local buffering: multiple
-            // host threads would interleave writes nondeterministically.
-            if (opts.traceMask != 0 || !opts.traceOut.empty())
-                return "--trace/--trace-out are not shard-aware; use "
-                       "--threads 1 (results are identical)";
-            if (opts.flightRecorder > 0)
-                return "--flight-recorder is not shard-aware; use "
-                       "--threads 1 (results are identical)";
-        }
-    }
-    return nullptr;
+    if (opts.fastMode && opts.mesh)
+        return "--fast is functional-only and cannot drive the mesh "
+               "timing model; drop --fast or --mesh";
+    if (opts.fastMode && opts.profile)
+        return "--fast skips the timing model, so there are no cycles "
+               "to profile; drop --fast or --profile";
+    if (opts.mesh && opts.profileIntervalSet)
+        return "--profile-interval snapshots are per-machine and not "
+               "mesh-aware; drop --profile-interval";
+    if (opts.mesh && opts.elideChecks)
+        return "--elide-checks is single-machine: a store by one node "
+               "into another node's verified image drops only the "
+               "issuing machine's proofs, so the home node would keep "
+               "stale verdicts";
+    return "";
 }
 
-/**
- * Multicomputer mode: the program runs on every node of the mesh
- * under the sharded epoch engine. One hardware thread per node,
- * r1 = full-space RW pointer, r2 = node id.
- */
-int
-runMesh(const Options &opts, const std::string &source)
+/** Read @p path ("-" for stdin) into @p out; false if unopenable. */
+bool
+readInput(const std::string &path, std::string &out)
 {
-    noc::ShardConfig scfg;
-    scfg.mesh.dimX = opts.meshX;
-    scfg.mesh.dimY = opts.meshY;
-    scfg.mesh.dimZ = opts.meshZ;
-    scfg.node.ecc = opts.ecc;
-    scfg.node.walkRetries = opts.walkRetries;
-    scfg.machine.clusters = opts.clusters;
-    scfg.machine.issueWidth = opts.issueWidth;
-    scfg.machine.watchdogCycles = opts.maxCycles;
-    scfg.hostThreads = opts.threads;
-    scfg.epochHorizon = opts.epochHorizon;
-    scfg.meshWatchdogCycles = opts.meshWatchdog;
-    noc::ShardedMesh shard(scfg);
-
-    // Mesh profiling (single host thread only — validateOptions
-    // rejects --threads > 1): every node machine ticks the
-    // process-wide profiler, so the CPI stack aggregates across
-    // nodes, while each node's threads keep their own slots (the
-    // engine gives every node a slot range). Interval snapshots are
-    // forced off — N machines advancing the singleton's cycle clock
-    // would interleave the time series meaninglessly.
-    if (opts.profile) {
-        sim::ProfileConfig pcfg = opts.profileConfig;
-        pcfg.interval = false;
-        sim::Profiler::instance().arm(
-            scfg.machine.clusters,
-            shard.nodeCount() * scfg.machine.clusters *
-                scfg.machine.threadsPerCluster,
-            pcfg);
+    std::ostringstream ss;
+    if (path == "-") {
+        ss << std::cin.rdbuf();
+    } else {
+        std::ifstream in(path);
+        if (!in)
+            return false;
+        ss << in.rdbuf();
     }
-
-    const isa::Assembly assembly = isa::assemble(source);
-    if (!assembly.ok) {
-        std::fprintf(stderr, "gpsim: %s: %s\n", opts.source.c_str(),
-                     assembly.error.c_str());
-        return 1;
-    }
-
-    auto full = makePointer(Perm::ReadWrite, 54, 0);
-    if (!full)
-        sim::fatal("cannot build the full-space data pointer");
-
-    std::vector<isa::Thread *> threads;
-    for (unsigned n = 0; n < shard.nodeCount(); ++n) {
-        auto prog =
-            isa::loadProgram(shard.node(n), noc::nodeBase(n) + 0x20000,
-                             assembly.words, opts.privileged);
-        isa::Thread *t = shard.machine(n).spawn(prog.execPtr);
-        if (!t)
-            sim::fatal("node %u: out of hardware thread slots", n);
-        t->setReg(1, full.value);
-        t->setReg(2, Word::fromInt(n));
-        threads.push_back(t);
-    }
-
-    sim::TraceManager &tracer = sim::TraceManager::instance();
-    if (opts.traceMask != 0)
-        tracer.setTextSink(&std::cout, opts.traceMask);
-    if (!opts.traceOut.empty() && !tracer.openJson(opts.traceOut))
-        sim::fatal("cannot open trace file %s", opts.traceOut.c_str());
-    if (opts.flightRecorder > 0)
-        tracer.setFlightRecorder(opts.flightRecorder);
-
-    const uint64_t cycles = shard.run(opts.maxCycles + 1000);
-
-    int halted = 0, faulted = 0;
-    uint64_t instructions = 0;
-    for (unsigned n = 0; n < shard.nodeCount(); ++n) {
-        isa::Thread *t = threads[n];
-        if (t->state() == isa::ThreadState::Halted)
-            halted++;
-        if (t->state() == isa::ThreadState::Faulted) {
-            faulted++;
-            std::printf("  node %u FAULT: %s at %s\n", n,
-                        std::string(faultName(t->faultRecord().fault))
-                            .c_str(),
-                        toString(t->faultRecord().ip).c_str());
-        }
-        instructions += shard.machine(n).stats().get("instructions");
-    }
-    std::printf("gpsim: mesh %ux%ux%u (%u nodes, %u host threads, "
-                "epoch %llu): %d halted, %d faulted; %llu cycles, "
-                "%llu instructions\n",
-                opts.meshX, opts.meshY, opts.meshZ, shard.nodeCount(),
-                shard.hostThreads(),
-                (unsigned long long)shard.epochHorizon(), halted,
-                faulted, (unsigned long long)cycles,
-                (unsigned long long)instructions);
-    std::printf("gpsim: mesh signature %016llx\n",
-                (unsigned long long)shard.signature());
-
-    if (opts.dumpRegs) {
-        for (unsigned n = 0; n < shard.nodeCount(); ++n) {
-            std::printf("  node %u registers:\n", n);
-            for (unsigned r = 0; r < isa::kNumRegs; ++r)
-                std::printf("    r%-2u = %s\n", r,
-                            toString(threads[n]->reg(r)).c_str());
-        }
-    }
-    if (opts.dumpStats) {
-        std::printf("\n");
-        sim::StatRegistry::instance().dumpAll(std::cout);
-    }
-    if (opts.profile) {
-        sim::Profiler::instance().disarm();
-        sim::Profiler::instance().summary(std::cout);
-        if (!opts.profileOut.empty()) {
-            std::ofstream out(opts.profileOut, std::ios::trunc);
-            if (!out)
-                sim::fatal("cannot open profile file %s",
-                           opts.profileOut.c_str());
-            sim::Profiler::instance().exportJson(out);
-        }
-    }
-    if (!opts.statsJson.empty()) {
-        std::ofstream out(opts.statsJson, std::ios::trunc);
-        if (!out)
-            sim::fatal("cannot open stats file %s",
-                       opts.statsJson.c_str());
-        sim::StatRegistry::instance().exportJson(out);
-    }
-
-    tracer.closeJson();
-    if (shard.watchdogTripped() || shard.meshWatchdogTripped()) {
-        std::fprintf(stderr,
-                     "gpsim: watchdog tripped after %llu cycles "
-                     "(hang or livelock)\n",
-                     (unsigned long long)cycles);
-        // The flight-recorder-style mesh post-mortem: failure set,
-        // degraded-routing tallies, and every unfinished survivor's
-        // thread states — the first thing to read after a mesh hang.
-        shard.postMortem(std::cerr);
-        return 3;
-    }
-    return faulted ? 1 : 0;
+    out = ss.str();
+    return true;
 }
 
 /**
@@ -570,14 +378,12 @@ runMesh(const Options &opts, const std::string &source)
 std::string
 sidecarMismatch(const std::string &path, const isa::ElideProof &derived)
 {
-    std::ifstream in(path);
-    if (!in)
+    std::string text;
+    if (!readInput(path, text))
         return "cannot read proof sidecar " + path;
-    std::ostringstream ss;
-    ss << in.rdbuf();
     isa::ElideProof claimed;
     std::string perr;
-    if (!isa::parseProof(ss.str(), claimed, &perr))
+    if (!isa::parseProof(text, claimed, &perr))
         return "bad proof sidecar " + path + ": " + perr;
     if (claimed.bits != derived.bits ||
         claimed.verdicts != derived.verdicts)
@@ -586,21 +392,148 @@ sidecarMismatch(const std::string &path, const isa::ElideProof &derived)
     return "";
 }
 
-std::string
-readSource(const std::string &path)
+/**
+ * The simulated system a run drives: the kernel's machine, or a
+ * sharded mesh with one machine per node.
+ */
+struct System
 {
-    if (path == "-") {
-        std::ostringstream ss;
-        ss << std::cin.rdbuf();
-        return ss.str();
+    std::unique_ptr<os::Kernel> kernel;     //!< single-machine mode
+    std::unique_ptr<noc::ShardedMesh> mesh; //!< --mesh mode
+
+    unsigned machines() const { return mesh ? mesh->nodeCount() : 1; }
+
+    isa::Machine &
+    machine(unsigned n)
+    {
+        return mesh ? mesh->machine(n) : kernel->machine();
     }
-    std::ifstream in(path);
-    if (!in) {
-        sim::fatal("cannot open %s", path.c_str());
+};
+
+System
+build(const Options &opts)
+{
+    isa::MachineConfig mcfg;
+    mcfg.clusters = opts.clusters;
+    mcfg.issueWidth = opts.issueWidth;
+    // The cycle budget doubles as the watchdog: if the program is
+    // still running at --max-cycles the machine converts the hang
+    // into structured WatchdogTimeout faults (dumping the flight
+    // recorder when one is armed) rather than timing out silently.
+    mcfg.watchdogCycles = opts.maxCycles;
+    System sys;
+    if (!opts.mesh) {
+        os::KernelConfig kcfg;
+        kcfg.machine = mcfg;
+        kcfg.machine.elideChecks = opts.elideChecks;
+        kcfg.machine.fastMode = opts.fastMode;
+        kcfg.machine.mem.ecc = opts.ecc;
+        sys.kernel = std::make_unique<os::Kernel>(kcfg);
+        return sys;
     }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
+    noc::ShardConfig scfg;
+    scfg.mesh.dimX = opts.meshDims[0];
+    scfg.mesh.dimY = opts.meshDims[1];
+    scfg.mesh.dimZ = opts.meshDims[2];
+    scfg.node.ecc = opts.ecc;
+    scfg.machine = mcfg;
+    scfg.hostThreads = opts.threads;
+    scfg.epochHorizon = opts.epochHorizon;
+    scfg.meshWatchdogCycles = opts.meshWatchdog;
+    // The profiler, trace sinks and flight recorder are process-wide,
+    // with no per-shard buffering, so an observed mesh runs on one
+    // host thread. Results are identical at every thread count.
+    if (observed(opts) && opts.threads > 1) {
+        std::fprintf(stderr,
+                     "gpsim: observers are process-wide: simulating "
+                     "the mesh on 1 host thread, not %u (identical "
+                     "results)\n",
+                     opts.threads);
+        scfg.hostThreads = 1;
+    }
+    sys.mesh = std::make_unique<noc::ShardedMesh>(scfg);
+    return sys;
+}
+
+/**
+ * Load the program and spawn its threads: one copy per --threads on
+ * the kernel's machine, each with its own --data segment in r1, or
+ * one per mesh node with the full-space pointer in r1. r2 is the
+ * copy index or node id. Registers the elision proof, made from
+ * @p vres, on the way.
+ * @return the spawned threads, or an empty list on a load failure.
+ */
+std::vector<isa::Thread *>
+loadAndSpawn(System &sys, const Options &opts,
+             const isa::Assembly &assembly,
+             const verify::VerifyResult &vres, const std::string &source)
+{
+    std::vector<isa::Thread *> threads;
+    if (sys.mesh) {
+        const auto full =
+            makePointer(Perm::ReadWrite, kMeshSpaceLog2, 0);
+        for (unsigned n = 0; n < sys.machines(); ++n) {
+            const auto prog = isa::loadProgram(
+                sys.mesh->node(n), noc::nodeBase(n) + 0x20000,
+                assembly.words, opts.privileged);
+            isa::Thread *t = sys.machine(n).spawn(prog.execPtr);
+            t->setReg(1, full.value);
+            t->setReg(2, Word::fromInt(n));
+            threads.push_back(t);
+        }
+        return threads;
+    }
+
+    os::Kernel &kernel = *sys.kernel;
+    auto prog = kernel.loadAssembly(source, opts.privileged);
+    if (!prog)
+        return threads;
+    if (opts.elideChecks) {
+        // No check is skipped unless it was proven in this process,
+        // under the entry state the spawn loop below sets up. A
+        // sidecar is only a claim, checked against the derived proof.
+        const isa::ElideProof proof = verify::makeElideProof(
+            vres, assembly.words, opts.privileged, prog.value.base);
+        if (!opts.proofsFile.empty()) {
+            const std::string err =
+                sidecarMismatch(opts.proofsFile, proof);
+            if (!err.empty())
+                badInput("gpsim", err);
+        }
+        kernel.machine().registerElideProof(proof);
+    }
+    for (unsigned i = 0; i < opts.threads; ++i) {
+        auto seg = kernel.segments().allocate(opts.dataBytes,
+                                              Perm::ReadWrite);
+        if (!seg)
+            badInput("gpsim", std::to_string(opts.threads) +
+                                  " data segment(s) of --data " +
+                                  std::to_string(opts.dataBytes) +
+                                  " bytes do not fit the kernel heap");
+        isa::Thread *t = kernel.spawn(prog.value.execPtr,
+                                      {{1, seg.value},
+                                       {2, Word::fromInt(i)}});
+        // Label the thread's Perfetto track with what it runs, so
+        // exported traces read "prog copy 3" instead of "thread 3".
+        if (!opts.traceOut.empty())
+            sim::TraceManager::instance().setTrackName(
+                sim::TraceCat::Exec, t->id(),
+                opts.source + " copy " + std::to_string(i));
+        threads.push_back(t);
+    }
+    return threads;
+}
+
+/** Open @p path for writing into @p out, or end the run (exit 2). */
+void
+openOutput(std::ofstream &out, const std::string &path, const char *what)
+{
+    if (path.empty())
+        return;
+    out.open(path, std::ios::trunc);
+    if (!out)
+        badInput("gpsim", std::string("cannot open ") + what + " file " +
+                              path);
 }
 
 } // namespace
@@ -613,54 +546,45 @@ main(int argc, char **argv)
         usage(argv[0]);
         return 2;
     }
+    const std::string err = validateOptions(opts);
+    if (!err.empty())
+        badInput("gpsim", err);
 
-    if (const char *err = validateOptions(opts)) {
-        std::fprintf(stderr, "gpsim: %s\n", err);
-        return 2;
+    // Every input and output opens before anything is built, so a bad
+    // path is one line and exit 2.
+    std::string source;
+    if (!readInput(opts.source, source))
+        badInput("gpsim", "cannot open " + opts.source);
+    std::ofstream profileOut, statsOut;
+    openOutput(profileOut, opts.profileOut, "profile");
+    openOutput(statsOut, opts.statsJson, "stats");
+    sim::TraceManager &tracer = sim::TraceManager::instance();
+    if (!opts.traceOut.empty() && !tracer.openJson(opts.traceOut))
+        badInput("gpsim", "cannot open trace file " + opts.traceOut);
+    if (opts.traceMask != 0)
+        tracer.setTextSink(&std::cout, opts.traceMask);
+    if (opts.flightRecorder > 0)
+        tracer.setFlightRecorder(opts.flightRecorder);
+
+    const isa::Assembly assembly = isa::assemble(source);
+    if (!assembly.ok) {
+        std::fprintf(stderr, "gpsim: %s: %s\n", opts.source.c_str(),
+                     assembly.error.c_str());
+        return 1;
     }
-
-    if (opts.mesh)
-        return runMesh(opts, readSource(opts.source));
-
-    os::KernelConfig kcfg;
-    kcfg.machine.clusters = opts.clusters;
-    kcfg.machine.issueWidth = opts.issueWidth;
-    kcfg.machine.elideChecks = opts.elideChecks;
-    kcfg.machine.fastMode = opts.fastMode;
-    kcfg.machine.mem.ecc = opts.ecc;
-    kcfg.machine.mem.walkRetries = opts.walkRetries;
-    // The cycle budget doubles as the watchdog: if the program is
-    // still running at --max-cycles the machine converts the hang
-    // into structured WatchdogTimeout faults (dumping the flight
-    // recorder when one is armed) rather than timing out silently.
-    kcfg.machine.watchdogCycles = opts.maxCycles;
-    os::Kernel kernel(kcfg);
-
-    // Arm the profiler before loading: the kernel registers domain
-    // and symbol names as each program image lands.
-    if (opts.profile) {
-        sim::Profiler::instance().arm(
-            kcfg.machine.clusters,
-            kcfg.machine.clusters * kcfg.machine.threadsPerCluster,
-            opts.profileConfig);
-    }
-
-    const std::string source = readSource(opts.source);
-
-    if (opts.verify) {
-        // Opt-in pre-run pass: prove the program respects the rights
-        // lattice before a single instruction executes.
-        const isa::Assembly assembly = isa::assemble(source);
-        if (!assembly.ok) {
-            std::fprintf(stderr, "gpsim: %s: %s\n",
-                         opts.source.c_str(), assembly.error.c_str());
-            return 1;
-        }
+    // Verify under the entry state the spawn sets up: r1 = RW pointer
+    // to the --data segment (to the whole space in a mesh), r2 = an
+    // integer. --verify refuses an unsafe program before a single
+    // instruction executes; --elide-checks derives its proof here.
+    verify::VerifyResult vres;
+    if (opts.verify || opts.elideChecks) {
         verify::VerifyOptions vopts;
         vopts.privileged = opts.privileged;
-        vopts.entryRegs = verify::defaultEntryRegs(opts.dataBytes);
-        const verify::VerifyResult vres =
-            verify::verifyProgram(assembly, vopts);
+        vopts.entryRegs = verify::defaultEntryRegs(
+            opts.mesh ? uint64_t(1) << kMeshSpaceLog2 : opts.dataBytes);
+        vres = verify::verifyProgram(assembly, vopts);
+    }
+    if (opts.verify) {
         if (!vres.clean()) {
             std::fputs(vres.report(opts.source, &assembly).c_str(),
                        stderr);
@@ -672,70 +596,35 @@ main(int argc, char **argv)
         }
     }
 
-    auto prog = kernel.loadAssembly(source, opts.privileged);
-    if (!prog) {
-        std::fprintf(stderr, "assembly failed (see warning above)\n");
+    System sys = build(opts);
+    // Arm the profiler before loading: the kernel registers domain
+    // and symbol names as each program image lands. In a mesh every
+    // node's threads keep their own slots (the engine gives each node
+    // a slot range) while the CPI stack sums over nodes. Interval
+    // snapshots stay off there: N machines advancing the profiler's
+    // cycle clock would interleave the time series meaninglessly.
+    if (opts.profile) {
+        sim::ProfileConfig pcfg = opts.profileConfig;
+        pcfg.interval = pcfg.interval && !sys.mesh;
+        const isa::MachineConfig &mc = sys.machine(0).config();
+        sim::Profiler::instance().arm(
+            mc.clusters,
+            sys.machines() * mc.clusters * mc.threadsPerCluster, pcfg);
+    }
+
+    const std::vector<isa::Thread *> threads =
+        loadAndSpawn(sys, opts, assembly, vres, source);
+    if (threads.empty()) {
+        std::fprintf(stderr, "gpsim: %s: cannot load the program\n",
+                     opts.source.c_str());
         return 1;
-    }
-
-    if (opts.elideChecks) {
-        // No check is skipped unless it was proven in this process:
-        // derive the proof here, under the same entry-state
-        // assumptions the spawn loop below sets up (r1 = RW data
-        // segment of --data bytes, r2 = integer). A sidecar is only
-        // a claim, checked against the derived proof.
-        const isa::Assembly assembly = isa::assemble(source);
-        verify::VerifyOptions vopts;
-        vopts.privileged = opts.privileged;
-        vopts.entryRegs = verify::defaultEntryRegs(opts.dataBytes);
-        const isa::ElideProof proof = verify::makeElideProof(
-            verify::verifyProgram(assembly, vopts), assembly.words,
-            opts.privileged, prog.value.base);
-        if (!opts.proofsFile.empty()) {
-            const std::string err =
-                sidecarMismatch(opts.proofsFile, proof);
-            if (!err.empty()) {
-                std::fprintf(stderr, "gpsim: %s\n", err.c_str());
-                return 2;
-            }
-        }
-        kernel.machine().registerElideProof(proof);
-    }
-
-    // Attach the requested trace sinks before any thread runs.
-    sim::TraceManager &tracer = sim::TraceManager::instance();
-    if (opts.traceMask != 0)
-        tracer.setTextSink(&std::cout, opts.traceMask);
-    if (!opts.traceOut.empty() && !tracer.openJson(opts.traceOut))
-        sim::fatal("cannot open trace file %s", opts.traceOut.c_str());
-    if (opts.flightRecorder > 0)
-        tracer.setFlightRecorder(opts.flightRecorder);
-
-    std::vector<isa::Thread *> threads;
-    for (unsigned i = 0; i < opts.threads; ++i) {
-        auto seg = kernel.segments().allocate(opts.dataBytes,
-                                              Perm::ReadWrite);
-        if (!seg)
-            sim::fatal("data segment allocation failed");
-        isa::Thread *t =
-            kernel.spawn(prog.value.execPtr,
-                         {{1, seg.value},
-                          {2, Word::fromInt(i)}});
-        if (!t)
-            sim::fatal("out of hardware thread slots (16)");
-        // Label the thread's Perfetto track with what it runs, so
-        // exported traces read "prog copy 3" instead of "thread 3".
-        if (!opts.traceOut.empty())
-            tracer.setTrackName(sim::TraceCat::Exec, t->id(),
-                                opts.source + " copy " +
-                                    std::to_string(i));
-        threads.push_back(t);
     }
 
     // Run slightly past the watchdog budget so the trip (and its
     // flight-recorder dump) happens inside the machine, not here.
-    const uint64_t cycles =
-        kernel.machine().run(opts.maxCycles + 1000);
+    const uint64_t budget = opts.maxCycles + 1000;
+    const uint64_t cycles = sys.mesh ? sys.mesh->run(budget)
+                                     : sys.kernel->machine().run(budget);
 
     int halted = 0, faulted = 0;
     for (isa::Thread *t : threads) {
@@ -744,74 +633,91 @@ main(int argc, char **argv)
         if (t->state() == isa::ThreadState::Faulted)
             faulted++;
     }
-    std::printf("gpsim: %u thread(s): %d halted, %d faulted; %llu "
-                "cycles, %llu instructions\n",
-                opts.threads, halted, faulted,
-                (unsigned long long)cycles,
-                (unsigned long long)kernel.machine().stats().get(
-                    "instructions"));
+    uint64_t instructions = 0;
+    for (unsigned n = 0; n < sys.machines(); ++n)
+        instructions += sys.machine(n).stats().get("instructions");
+
+    // The per-thread report: a fault line per faulted thread and,
+    // with --dump-regs, its final registers. A mesh run lists its
+    // node faults ahead of the summary.
+    const char *unit = sys.mesh ? "node" : "thread";
+    auto report = [&](bool faults, bool regs) {
+        for (size_t i = 0; i < threads.size(); ++i) {
+            const isa::Thread *t = threads[i];
+            if (faults && t->state() == isa::ThreadState::Faulted)
+                std::printf("  %s %zu FAULT: %s at %s\n", unit, i,
+                            std::string(
+                                faultName(t->faultRecord().fault))
+                                .c_str(),
+                            toString(t->faultRecord().ip).c_str());
+            if (!regs)
+                continue;
+            std::printf("  %s %zu registers:\n", unit, i);
+            for (unsigned r = 0; r < isa::kNumRegs; ++r)
+                std::printf("    r%-2u = %s\n", r,
+                            toString(t->reg(r)).c_str());
+        }
+    };
+    if (sys.mesh) {
+        report(true, false);
+        std::printf("gpsim: mesh %ux%ux%u (%u nodes, %u host threads, "
+                    "epoch %llu): ",
+                    opts.meshDims[0], opts.meshDims[1], opts.meshDims[2],
+                    sys.machines(),
+                    sys.mesh->hostThreads(),
+                    (unsigned long long)sys.mesh->epochHorizon());
+    } else {
+        std::printf("gpsim: %u thread(s): ", opts.threads);
+    }
+    std::printf("%d halted, %d faulted; %llu cycles, %llu "
+                "instructions\n",
+                halted, faulted, (unsigned long long)cycles,
+                (unsigned long long)instructions);
+    if (sys.mesh)
+        std::printf("gpsim: mesh signature %016llx\n",
+                    (unsigned long long)sys.mesh->signature());
     if (opts.elideChecks) {
-        sim::StatGroup &ms = kernel.machine().stats();
+        sim::StatGroup &ms = sys.machine(0).stats();
         std::printf("gpsim: elide: %llu checks elided, %llu executed, "
                     "%llu cycles saved\n",
                     (unsigned long long)ms.get("elide_checks_elided"),
                     (unsigned long long)ms.get("elide_checks_executed"),
                     (unsigned long long)ms.get("elide_cycles_saved"));
     }
-
-    for (size_t i = 0; i < threads.size(); ++i) {
-        isa::Thread *t = threads[i];
-        if (t->state() == isa::ThreadState::Faulted) {
-            std::printf("  thread %zu FAULT: %s at %s\n", i,
-                        std::string(
-                            faultName(t->faultRecord().fault))
-                            .c_str(),
-                        toString(t->faultRecord().ip).c_str());
-        }
-        if (opts.dumpRegs) {
-            std::printf("  thread %zu registers:\n", i);
-            for (unsigned r = 0; r < isa::kNumRegs; ++r) {
-                std::printf("    r%-2u = %s\n", r,
-                            toString(t->reg(r)).c_str());
-            }
-        }
-    }
+    report(!sys.mesh, opts.dumpRegs);
 
     if (opts.dumpStats) {
         // Every component registers its StatGroup with the process-wide
         // registry, so one call covers machine, memory, cache, TLB,
-        // pointer ops, kernel, and anything added later.
+        // pointer ops, kernel, mesh, and anything added later.
         std::printf("\n");
         sim::StatRegistry::instance().dumpAll(std::cout);
     }
-
     if (opts.profile) {
         sim::Profiler::instance().disarm();
         sim::Profiler::instance().summary(std::cout);
-        if (!opts.profileOut.empty()) {
-            std::ofstream out(opts.profileOut, std::ios::trunc);
-            if (!out)
-                sim::fatal("cannot open profile file %s",
-                           opts.profileOut.c_str());
-            sim::Profiler::instance().exportJson(out);
-        }
+        if (profileOut.is_open())
+            sim::Profiler::instance().exportJson(profileOut);
     }
-
-    if (!opts.statsJson.empty()) {
-        std::ofstream out(opts.statsJson, std::ios::trunc);
-        if (!out)
-            sim::fatal("cannot open stats file %s",
-                       opts.statsJson.c_str());
-        sim::StatRegistry::instance().exportJson(out);
-    }
-
+    if (statsOut.is_open())
+        sim::StatRegistry::instance().exportJson(statsOut);
     tracer.closeJson();
-    if (kernel.machine().watchdogTripped()) {
+
+    const bool tripped =
+        sys.mesh ? sys.mesh->watchdogTripped() ||
+                       sys.mesh->meshWatchdogTripped()
+                 : sys.kernel->machine().watchdogTripped();
+    if (tripped) {
         std::fprintf(stderr,
                      "gpsim: watchdog tripped after %llu cycles "
-                     "(hang or livelock); see WatchdogTimeout "
-                     "faults above\n",
+                     "(hang or livelock)\n",
                      (unsigned long long)cycles);
+        // The flight-recorder-style mesh post-mortem: failure set,
+        // degraded-routing tallies, and every unfinished survivor's
+        // thread states — the first thing to read after a mesh hang.
+        // A single machine's WatchdogTimeout faults are above.
+        if (sys.mesh)
+            sys.mesh->postMortem(std::cerr);
         return 3;
     }
     return faulted ? 1 : 0;

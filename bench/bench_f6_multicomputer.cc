@@ -12,7 +12,6 @@
  * for byte, is dereferenced from every node of the mesh.
  */
 
-#include <chrono>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -173,8 +172,8 @@ invarianceCheck()
  * Sharded epoch engine over a 4x4x4 mesh: 64 full machines running a
  * pseudo-random all-to-all load/store loop. The deterministic table
  * (signature, cycles, instructions, traffic) must be byte-identical
- * for EVERY host-thread count; the host table reports wall time for
- * the requested --threads=N and is load-dependent by nature.
+ * for EVERY host-thread count (--threads=N). Host speed of the
+ * sharded mesh is perfbench's mesh64 workload.
  */
 void
 shardedEpochEngine(unsigned host_threads)
@@ -230,12 +229,7 @@ shardedEpochEngine(unsigned host_threads)
 
     auto shard = build(host_threads);
     load(*shard);
-    const auto t0 = std::chrono::steady_clock::now();
     shard->run(2'000'000);
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count();
 
     uint64_t insts = 0, remote = 0;
     for (unsigned n = 0; n < shard->nodeCount(); ++n) {
@@ -271,17 +265,6 @@ shardedEpochEngine(unsigned host_threads)
                 gp::bench::fmt("%016llx", (unsigned long long)
                                               shard->signature())});
     det.print();
-
-    const double mcps = double(shard->cycle()) *
-                        double(shard->nodeCount()) / wall / 1e6;
-    gp::bench::Table host(
-        "F6e: sharded engine host scaling (host-dependent)",
-        {"metric", "value"});
-    host.addRow({"host threads",
-                 gp::bench::fmt("%u", shard->hostThreads())});
-    host.addRow({"wall seconds", gp::bench::fmt("%.3f", wall)});
-    host.addRow({"node-Mcycles/s", gp::bench::fmt("%.2f", mcps)});
-    host.print();
 }
 
 } // namespace

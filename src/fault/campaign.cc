@@ -104,7 +104,6 @@ struct Harness
         mcfg.mem.walkRetries = cc.walkRetries;
         mcfg.watchdogCycles = cc.watchdogCycles;
         mcfg.watchdogQuiescence = cc.watchdogQuiescence;
-        mcfg.elideChecks = cc.elideChecks;
         return mcfg;
     }
 

@@ -196,6 +196,7 @@ void
 Machine::registerElideProof(const ElideProof &proof)
 {
     elideProofs_.push_back(proof);
+    countChecks_ = true;
     const uint64_t lo = proof.base;
     const uint64_t hi = proof.base + 8 * proof.verdicts.size();
     proofCoverLo_ = lo < proofCoverLo_ ? lo : proofCoverLo_;
@@ -207,6 +208,7 @@ void
 Machine::clearElideProofs()
 {
     elideProofs_.clear();
+    countChecks_ = false;
     proofCoverLo_ = UINT64_MAX;
     proofCoverHi_ = 0;
     flushPredecode();
@@ -709,7 +711,7 @@ Machine::finishFetch(Thread &thread, const mem::MemAccess &f)
         // Bake the elision verdict on the miss only: the hot hit path
         // never consults the proof sidecar (the hit's raw-bits check
         // also guarantees the baked verdict still matches the code).
-        slot.verdict = config_.elideChecks && !elideProofs_.empty()
+        slot.verdict = !elideProofs_.empty()
                            ? proofVerdict(ip_addr, f.data.bits())
                            : 0;
         slot.size = uint8_t(accessSize(decoded->op));
@@ -871,7 +873,7 @@ Machine::execute(Thread &thread, const PredecodedInst &slot,
     // mechanism can push execution outside the verified envelope — an
     // armed fault campaign corrupts state behind the analysis's back,
     // and a software fault handler may patch registers on *another*
-    // instruction's fault. With the feature off verdict is always 0,
+    // instruction's fault. With no proof registered verdict is always 0,
     // so this costs one always-false bit test.
     const bool elide = verdictElides(slot.verdict, priv) &&
                        !faultHandler_ &&

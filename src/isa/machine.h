@@ -75,17 +75,6 @@ struct MachineConfig
     uint64_t watchdogQuiescence = 0;
 
     /**
-     * Verifier-driven check elision (gpsim --elide-checks=verified):
-     * consult registered ElideProofs at predecode time and run the
-     * unchecked datapath for instructions proven never to fault
-     * (docs/VERIFIER.md "Proof export & check elision"). Off by
-     * default; with no registered proof the machine behaves exactly
-     * as before even when enabled. Fault injection and an installed
-     * software fault handler re-arm full checks unconditionally.
-     */
-    bool elideChecks = false;
-
-    /**
      * The embedding engine ticks the FaultInjector itself (sharded
      * mesh: one central tick per simulated cycle at the epoch
      * barrier, so draw order is identical for any host-thread
@@ -269,13 +258,18 @@ class Machine
      * Consulted only at predecode-miss time (never per executed
      * instruction): the matching verdict byte is baked into the
      * predecoded entry, bound to the exact raw bits it was proven
-     * for. Takes effect only with config().elideChecks set. Flushes
-     * the predecode cache so already-decoded instructions pick up
-     * their verdicts.
+     * for, and the machine runs the unchecked datapath for
+     * instructions proven never to fault (gpsim
+     * --elide-checks=verified; docs/VERIFIER.md "Proof export & check
+     * elision"). Fault injection and an installed software fault
+     * handler re-arm full checks unconditionally. Also turns on the
+     * elide_checks_* counting. Flushes the predecode cache so
+     * already-decoded instructions pick up their verdicts.
      */
     void registerElideProof(const ElideProof &proof);
 
-    /** Drop all registered proofs (and their baked verdicts). */
+    /** Drop all registered proofs (and their baked verdicts) and
+     * turn the elide_checks_* counting off. */
     void clearElideProofs();
 
   private:
@@ -353,14 +347,14 @@ class Machine
     /**
      * Elided/executed accounting for one elidable check event
      * (pointer-op check, displacement LEA, access check, IP-advance
-     * LEA). Only paid under elideChecks mode, so both counters read 0
-     * in a baseline run; inline so that the test is all a baseline
-     * run pays per event.
+     * LEA). Only paid once a proof was registered, so both counters
+     * read 0 in a baseline run; inline so that the test is all a
+     * baseline run pays per event.
      */
     void
     noteCheck(bool elided)
     {
-        if (config_.elideChecks)
+        if (countChecks_)
             countCheck(elided);
     }
     void countCheck(bool elided);
@@ -510,8 +504,8 @@ class Machine
     sim::Counter *hungAccesses_ = nullptr;
     sim::Counter *predecodeHits_ = nullptr;
     sim::Counter *predecodeMisses_ = nullptr;
-    /// Elidable-check events skipped / run under elideChecks mode
-    /// (both stay 0 when the mode is off). One event per pointer-op
+    /// Elidable-check events skipped / run once a proof was
+    /// registered (both stay 0 otherwise). One event per pointer-op
     /// check, displacement LEA, access check, and IP-advance LEA.
     sim::Counter *elideChecksElided_ = nullptr;
     sim::Counter *elideChecksExecuted_ = nullptr;
@@ -524,6 +518,11 @@ class Machine
 
     /// Registered safety proofs; consulted only on predecode misses.
     std::vector<ElideProof> elideProofs_;
+
+    /// Count elidable-check events: set by registerElideProof(),
+    /// cleared by clearElideProofs(). A store that drops the proofs
+    /// leaves it set, so the rest of the run counts executed checks.
+    bool countChecks_ = false;
 
     /// Union [lo, hi) byte cover of every registered proof's code
     /// range. An architectural store landing inside it drops ALL

@@ -78,22 +78,11 @@ Mesh::send(unsigned from, unsigned to, uint64_t now, unsigned flits)
     // message occupies the outgoing link for `flits` cycles.
     Coord cur = coordOf(from);
     const Coord dst = coordOf(to);
-    while (cur.x != dst.x || cur.y != dst.y || cur.z != dst.z) {
-        unsigned direction;
-        Coord next = cur;
-        if (cur.x != dst.x) {
-            direction = cur.x < dst.x ? 0 : 1;
-            next.x += cur.x < dst.x ? 1 : -1;
-        } else if (cur.y != dst.y) {
-            direction = cur.y < dst.y ? 2 : 3;
-            next.y += cur.y < dst.y ? 1 : -1;
-        } else {
-            direction = cur.z < dst.z ? 4 : 5;
-            next.z += cur.z < dst.z ? 1 : -1;
-        }
-
-        t = chargeHop(linkId(nodeAt(cur), direction), t, flits);
-        cur = next;
+    unsigned at = from;
+    while (cur != dst) {
+        const unsigned direction = dimOrderStep(cur, dst);
+        t = chargeHop(linkId(at, direction), t, flits);
+        at = nodeAt(cur);
     }
 
     const uint64_t done = t + config_.injectLatency + flits - 1;
@@ -192,26 +181,14 @@ Mesh::dimOrderRoute(
     Coord cur = coordOf(from);
     const Coord dst = coordOf(to);
     unsigned at = from;
-    while (cur.x != dst.x || cur.y != dst.y || cur.z != dst.z) {
-        unsigned direction;
-        Coord next = cur;
-        if (cur.x != dst.x) {
-            direction = cur.x < dst.x ? 0 : 1;
-            next.x += cur.x < dst.x ? 1 : -1;
-        } else if (cur.y != dst.y) {
-            direction = cur.y < dst.y ? 2 : 3;
-            next.y += cur.y < dst.y ? 1 : -1;
-        } else {
-            direction = cur.z < dst.z ? 4 : 5;
-            next.z += cur.z < dst.z ? 1 : -1;
-        }
-        const unsigned next_id = nodeAt(next);
+    while (cur != dst) {
+        const unsigned direction = dimOrderStep(cur, dst);
+        const unsigned next_id = nodeAt(cur);
         if (linkDown(at, direction) ||
             (next_id != to && nodeDead(next_id)))
             return false;
         hops_out.emplace_back(linkId(at, direction), next_id);
         at = next_id;
-        cur = next;
     }
     return true;
 }

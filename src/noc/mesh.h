@@ -40,6 +40,8 @@ struct MeshConfig
 struct Coord
 {
     unsigned x = 0, y = 0, z = 0;
+
+    bool operator==(const Coord &) const = default;
 };
 
 /** The mesh: routing, latency, and link contention. */
@@ -167,6 +169,28 @@ class Mesh
     linkId(unsigned node, unsigned direction) const
     {
         return uint64_t(node) * 6 + direction;
+    }
+
+    /** One dimension-order step (X, then Y, then Z) from @p cur
+     * toward @p dst != @p cur: moves @p cur to the next node and
+     * @return the direction (as failLink()) of the link taken. The
+     * one next-hop rule of send() and dimOrderRoute(). */
+    static unsigned
+    dimOrderStep(Coord &cur, const Coord &dst)
+    {
+        if (cur.x != dst.x) {
+            const bool up = cur.x < dst.x;
+            cur.x += up ? 1 : -1;
+            return up ? 0 : 1;
+        }
+        if (cur.y != dst.y) {
+            const bool up = cur.y < dst.y;
+            cur.y += up ? 1 : -1;
+            return up ? 2 : 3;
+        }
+        const bool up = cur.z < dst.z;
+        cur.z += up ? 1 : -1;
+        return up ? 4 : 5;
     }
 
     /** Charge one hop over @p link starting no earlier than @p t:

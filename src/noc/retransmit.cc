@@ -91,7 +91,6 @@ Retransmitter::rawTransfer(unsigned from, unsigned to, uint64_t now,
         // No surviving route and no protocol to retry: the message
         // dies at the network interface. Unlike a drop the sender's
         // NI *knows* — the failure is typed, not silent.
-        unreachableFails_++;
         (*statUnreachable_)++;
         GP_TRACE(NoC, now, from, "unreachable", "dst=%u", to);
         return Delivery{false, false, now, 1, true};
@@ -105,14 +104,22 @@ Retransmitter::reliableTransfer(unsigned from, unsigned to,
                                 uint64_t now, unsigned flits)
 {
     auto &inj = FaultInjector::instance();
-    const uint32_t chan = (uint32_t(from) << 8) | uint32_t(to);
-    nextSeq_[chan]++; // sequence-number side of the protocol state
-
     uint64_t t = now;
     bool sawUnreachable = false;
     for (unsigned attempt = 1; attempt <= cfg_.maxAttempts;
          ++attempt) {
         const uint64_t attemptStart = t;
+        // Every lost attempt ends the same way: the sender times out
+        // (exponential backoff) and resends.
+        auto retry = [&](const char *why) {
+            (*statRetransmissions_)++;
+            GP_TRACE(NoC, attemptStart, from, why, "dst=%u attempt=%u",
+                     to, attempt);
+            t = attemptStart + timeoutFor(attempt - 1);
+            if (sim::Profiler::armed())
+                sim::Profiler::instance().accSeg(
+                    sim::ProfComp::Retransmit, t - attemptStart);
+        };
 
         uint64_t extra = 0;
         if (FaultInjector::armed() &&
@@ -124,28 +131,13 @@ Retransmitter::reliableTransfer(unsigned from, unsigned to,
         // Data message loss: either a genuine drop or a CRC-detected
         // corruption (the receiver discards the mangled copy).
         if (FaultInjector::armed() && inj.fire(FaultSite::NocDrop)) {
-            retransmissions_++;
-            (*statRetransmissions_)++;
-            GP_TRACE(NoC, attemptStart, from, "retry-drop",
-                     "dst=%u attempt=%u", to, attempt);
-            t = attemptStart + timeoutFor(attempt - 1);
-            if (sim::Profiler::armed())
-                sim::Profiler::instance().accSeg(
-                    sim::ProfComp::Retransmit, t - attemptStart);
+            retry("retry-drop");
             continue;
         }
         if (FaultInjector::armed() &&
             inj.fire(FaultSite::NocCorrupt)) {
-            crcDiscards_++;
-            retransmissions_++;
             (*statCrcDiscards_)++;
-            (*statRetransmissions_)++;
-            GP_TRACE(NoC, attemptStart, from, "retry-crc",
-                     "dst=%u attempt=%u", to, attempt);
-            t = attemptStart + timeoutFor(attempt - 1);
-            if (sim::Profiler::armed())
-                sim::Profiler::instance().accSeg(
-                    sim::ProfComp::Retransmit, t - attemptStart);
+            retry("retry-crc");
             continue;
         }
 
@@ -158,14 +150,7 @@ Retransmitter::reliableTransfer(unsigned from, unsigned to,
             mesh_.trySend(from, to, attemptStart, flits);
         if (!data.delivered) {
             sawUnreachable = true;
-            retransmissions_++;
-            (*statRetransmissions_)++;
-            GP_TRACE(NoC, attemptStart, from, "retry-unreachable",
-                     "dst=%u attempt=%u", to, attempt);
-            t = attemptStart + timeoutFor(attempt - 1);
-            if (sim::Profiler::armed())
-                sim::Profiler::instance().accSeg(
-                    sim::ProfComp::Retransmit, t - attemptStart);
+            retry("retry-unreachable");
             continue;
         }
         const uint64_t dataArrive = data.cycle + extra;
@@ -173,49 +158,31 @@ Retransmitter::reliableTransfer(unsigned from, unsigned to,
         // Duplicate in flight: receiver's sequence check drops it.
         if (FaultInjector::armed() &&
             inj.fire(FaultSite::NocDuplicate)) {
-            dupSuppressed_++;
             (*statDupSuppressed_)++;
             mesh_.trySend(from, to, attemptStart, flits);
         }
 
         // Positive ack back to the sender, on the same mesh. An ack
         // with no surviving return route behaves exactly like a lost
-        // ack: the sender times out and resends.
+        // ack: the sender times out and resends, and the receiver
+        // suppresses the duplicate data and re-acks.
         (*statAcks_)++;
         const Mesh::SendOutcome ack =
             mesh_.trySend(to, from, dataArrive, cfg_.ackFlits);
         if (!ack.delivered) {
             sawUnreachable = true;
-            retransmissions_++;
-            dupSuppressed_++;
             (*statAckLosses_)++;
-            (*statRetransmissions_)++;
             (*statDupSuppressed_)++;
-            GP_TRACE(NoC, attemptStart, from, "retry-ack-unreachable",
-                     "dst=%u attempt=%u", to, attempt);
-            t = attemptStart + timeoutFor(attempt - 1);
-            if (sim::Profiler::armed())
-                sim::Profiler::instance().accSeg(
-                    sim::ProfComp::Retransmit, t - attemptStart);
+            retry("retry-ack-unreachable");
             continue;
         }
-
-        // A lost/mangled ack forces one more data round; the
-        // receiver suppresses the duplicate data and re-acks.
+        // A lost or mangled ack: the same extra data round.
         if (FaultInjector::armed() &&
             (inj.fire(FaultSite::NocDrop) ||
              inj.fire(FaultSite::NocCorrupt))) {
-            retransmissions_++;
-            dupSuppressed_++;
             (*statAckLosses_)++;
-            (*statRetransmissions_)++;
             (*statDupSuppressed_)++;
-            GP_TRACE(NoC, attemptStart, from, "retry-ack",
-                     "dst=%u attempt=%u", to, attempt);
-            t = attemptStart + timeoutFor(attempt - 1);
-            if (sim::Profiler::armed())
-                sim::Profiler::instance().accSeg(
-                    sim::ProfComp::Retransmit, t - attemptStart);
+            retry("retry-ack");
             continue;
         }
 
@@ -226,12 +193,9 @@ Retransmitter::reliableTransfer(unsigned from, unsigned to,
     // caller surfaces it as a memory-integrity fault (or, when the
     // cause was a dead route, the typed NodeUnreachable) — never
     // silent.
-    abandoned_++;
     (*statAbandoned_)++;
-    if (sawUnreachable) {
-        unreachableFails_++;
+    if (sawUnreachable)
         (*statUnreachable_)++;
-    }
     GP_TRACE(NoC, now, from, "abandoned", "dst=%u attempts=%u", to,
              cfg_.maxAttempts);
     return Delivery{false, false, t, cfg_.maxAttempts, sawUnreachable};

@@ -29,7 +29,7 @@
 #define GP_NOC_RETRANSMIT_H
 
 #include <cstdint>
-#include <unordered_map>
+#include <string>
 
 #include "noc/mesh.h"
 #include "sim/stats.h"
@@ -77,10 +77,12 @@ struct Delivery
 };
 
 /**
- * Sender-side protocol engine bound to one mesh. Sequence-number
- * state is per (src,dst) pair, so one engine may serve any number
- * of nodes (NodeMemory instances share the one owned by their
- * campaign wiring, or default-construct a disabled one).
+ * Sender-side protocol engine bound to one mesh. Sequence numbers are
+ * modelled by their effect only (the receiver suppresses duplicates),
+ * so the engine keeps no per-channel state and one engine may serve
+ * any number of nodes (NodeMemory instances share the one owned by
+ * their campaign wiring, or default-construct a disabled one). The
+ * counter accessors read the engine's stat group.
  */
 class Retransmitter
 {
@@ -101,13 +103,17 @@ class Retransmitter
     const RetransConfig &config() const { return cfg_; }
     sim::StatGroup &stats() { return stats_; }
 
-    uint64_t retransmissions() const { return retransmissions_; }
-    uint64_t duplicatesSuppressed() const { return dupSuppressed_; }
-    uint64_t crcDiscards() const { return crcDiscards_; }
-    uint64_t abandoned() const { return abandoned_; }
+    uint64_t retransmissions() const { return statRetransmissions_->value(); }
+    uint64_t
+    duplicatesSuppressed() const
+    {
+        return statDupSuppressed_->value();
+    }
+    uint64_t crcDiscards() const { return statCrcDiscards_->value(); }
+    uint64_t abandoned() const { return statAbandoned_->value(); }
     /** Transfers that failed with no surviving route (subset of the
      * raw failures / abandoned transfers). */
-    uint64_t unreachableFailures() const { return unreachableFails_; }
+    uint64_t unreachableFailures() const { return statUnreachable_->value(); }
 
     /** Give-up cycle of a transfer whose every attempt timed out:
      * now + the full backoff sequence. Exposed so tests can pin the
@@ -134,13 +140,6 @@ class Retransmitter
 
     Mesh &mesh_;
     RetransConfig cfg_;
-    /** Next sequence number per (src<<8|dst) channel. */
-    std::unordered_map<uint32_t, uint64_t> nextSeq_;
-    uint64_t retransmissions_ = 0;
-    uint64_t dupSuppressed_ = 0;
-    uint64_t crcDiscards_ = 0;
-    uint64_t abandoned_ = 0;
-    uint64_t unreachableFails_ = 0;
     sim::StatGroup stats_;
 
     // Cached stat handles: transfer() sits under every NoC memory

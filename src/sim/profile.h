@@ -193,7 +193,8 @@ class Profiler
     void noteHang(unsigned slot, uint64_t cycle);
 
     /**
-     * One elidable check event under elideChecks mode: skipped under a
+     * One elidable check event on a machine with a registered proof
+     * (isa::Machine::registerElideProof): skipped under a
      * verifier proof (elided) or run in full (executed). Feeds the
      * elided-vs-executed split in the profile export.
      */
@@ -243,7 +244,8 @@ class Profiler
 
     /** Check events skipped under a verifier proof while armed. */
     uint64_t checksElided() const { return checksElided_; }
-    /** Check events run in full under elideChecks mode while armed. */
+    /** Check events run in full on a proof-carrying machine while
+     * armed. */
     uint64_t checksExecuted() const { return checksExecuted_; }
 
     /** Non-empty cluster-cycles attributed to thread `slot`. */

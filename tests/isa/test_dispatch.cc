@@ -284,9 +284,7 @@ TEST(Dispatch, ComposesWithElideVerdicts)
     const ElideProof proof = verify::makeElideProof(
         verify::verifyProgram(a, vopts), a.words, false, kCodeBase);
 
-    MachineConfig cfg = baseConfig();
-    cfg.elideChecks = true;
-    Machine machine(cfg);
+    Machine machine(baseConfig());
     LoadedProgram prog = loadProgram(machine.mem(), kCodeBase, a.words);
     machine.registerElideProof(proof);
     Thread *t = machine.spawn(prog.execPtr);

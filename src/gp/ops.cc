@@ -193,11 +193,7 @@ restrictPerm(Word ptr, Perm target)
             countFault(Fault::InvalidPermission));
     if (!strictSubset(cur, target))
         return Result<Word>::fail(countFault(Fault::NotSubset));
-
-    const uint64_t bits =
-        (ptr.bits() & ~(kPermFieldMask << kPermShift)) |
-        (uint64_t(target) << kPermShift);
-    return Result<Word>::ok(Word::fromRawPointerBits(bits));
+    return Result<Word>::ok(restrictUnchecked(ptr, target));
 }
 
 Result<Word>
@@ -214,11 +210,7 @@ subseg(Word ptr, uint64_t new_len_log2)
     }
     if (new_len_log2 >= dec.value.lenLog2())
         return Result<Word>::fail(countFault(Fault::NotSmaller));
-
-    const uint64_t bits =
-        (ptr.bits() & ~(kLenFieldMask << kLenShift)) |
-        (new_len_log2 << kLenShift);
-    return Result<Word>::ok(Word::fromRawPointerBits(bits));
+    return Result<Word>::ok(subsegUnchecked(ptr, new_len_log2));
 }
 
 Word
@@ -400,35 +392,15 @@ leaForAccess(Word ptr, int64_t delta, Access kind, unsigned size_bytes,
         if (!decode(ptr))
             return Result<Word>::ok(ptr); // the caller's check faults
     } else {
-        // --- LEA half (identical counting/tracing to lea()) ---
-        GP_OP_COUNT(lea);
-        auto dec = decodeMutable(ptr);
-        if (!dec)
-            return Result<Word>::fail(dec.fault);
-
-        const uint64_t old_addr = dec.value.addr();
-        const uint64_t new_addr =
-            (old_addr + static_cast<uint64_t>(delta)) & kAddrMask;
-
-        if (Fault f =
-                boundsCheck(old_addr, new_addr, dec.value.lenLog2());
-            f != Fault::None) {
-            GP_TRACE(Fault, sim::TraceManager::instance().cycle(), 0,
-                     "bounds-violation",
-                     "lea seg=[0x%llx,+0x%llx) perm=%s addr=0x%llx "
-                     "delta=%lld",
-                     (unsigned long long)dec.value.segmentBase(),
-                     (unsigned long long)dec.value.segmentBytes(),
-                     std::string(permName(dec.value.perm())).c_str(),
-                     (unsigned long long)old_addr, (long long)delta);
-            return Result<Word>::fail(countFault(f));
-        }
-        eff = withAddr(ptr, new_addr);
+        const Result<Word> moved = lea(ptr, delta);
+        if (!moved)
+            return moved;
+        eff = moved.value;
     }
 
-    // --- access-check half. For a nonzero delta this reuses the LEA's
-    // decode: withAddr() changes only address bits, so perm/len (and
-    // hence rights and segment size) are those already validated. ---
+    // The access check. For a nonzero delta lea() already decoded the
+    // pointer, and it changes only address bits, so perm/len (and
+    // hence rights and segment size) are those already validated.
     if (accessFaultOf(PointerView(eff), kind, size_bytes) == Fault::None) {
         GP_OP_COUNT(accessChecks);
         checked = true;
@@ -467,11 +439,7 @@ enterToExecute(Word ptr)
       default:
         return Result<Word>::fail(countFault(Fault::NotEnterPointer));
     }
-
-    const uint64_t bits =
-        (ptr.bits() & ~(kPermFieldMask << kPermShift)) |
-        (uint64_t(target) << kPermShift);
-    return Result<Word>::ok(Word::fromRawPointerBits(bits));
+    return Result<Word>::ok(restrictUnchecked(ptr, target));
 }
 
 Result<Word>

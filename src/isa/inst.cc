@@ -112,7 +112,11 @@ toString(const Inst &inst)
 {
     // Emit assembler-accepted syntax so disassembly round-trips.
     const std::string mnem{opName(inst.op)};
-    auto reg = [](unsigned n) { return "r" + std::to_string(n); };
+    auto reg = [](unsigned n) {
+        std::string r = "r";
+        r += std::to_string(n);
+        return r;
+    };
     const std::string imm = std::to_string(inst.imm);
 
     switch (inst.op) {

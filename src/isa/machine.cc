@@ -365,22 +365,10 @@ Machine::quiescentNow() const
             t.stallUntil() != UINT64_MAX && t.stallUntil() >= cycle_)
             return false;
     }
-    // Not quiescent while a split transaction is genuinely in flight:
-    // the epoch barrier will complete it (possibly with a fault) and
-    // that completion counts as progress. Entries the engine marked
-    // orphaned will never complete — threads parked on those are
-    // wedged and must not veto the trip.
-    for (const DeferredInst &d : deferred_)
-        if (!d.orphaned)
-            return false;
-    return true;
-}
-
-void
-Machine::markDeferredOrphans()
-{
-    for (DeferredInst &d : deferred_)
-        d.orphaned = true;
+    // Not quiescent while a split transaction is in flight: the epoch
+    // barrier will complete it (possibly with a fault) and that
+    // completion counts as progress.
+    return deferred_.empty();
 }
 
 void

@@ -68,8 +68,8 @@ struct MachineConfig
      * forever on a NoC request that was dropped). A thread stalled
      * to a *finite* future cycle (a long retransmission backoff) or
      * parked on an in-flight split transaction never trips it, no
-     * matter the window: only hung-forever stalls (UINT64_MAX) and
-     * orphaned parks (markDeferredOrphans()) count as quiescent.
+     * matter the window: only hung-forever stalls (UINT64_MAX) count
+     * as quiescent.
      * 0 = no quiescence watchdog.
      */
     uint64_t watchdogQuiescence = 0;
@@ -175,17 +175,6 @@ class Machine
     bool hasDeferred() const { return !deferred_.empty(); }
 
     /**
-     * Mark every outstanding split transaction as orphaned: its
-     * completion will never arrive (the sharded engine found it
-     * undeliverable — e.g. the exchange dropped the op of a dead
-     * node). Orphaned parks stop vetoing the quiescence watchdog,
-     * so a park that never completes still trips it; a completion
-     * that does arrive later for an orphaned ticket is still
-     * delivered normally.
-     */
-    void markDeferredOrphans();
-
-    /**
      * External watchdog trip (sharded-mesh distributed watchdog):
      * convert this machine's live threads into WatchdogTimeout
      * faults exactly as an internal trip would. No-op if a watchdog
@@ -207,7 +196,7 @@ class Machine
     /**
      * True when nothing can make progress without outside help: no
      * Ready thread has a finite future wake-up scheduled and no
-     * non-orphaned split transaction is in flight. Cold path — the
+     * split transaction is in flight. Cold path — the
      * machine's own quiescence watchdog consults it only once its
      * window is exceeded; the sharded mesh's distributed watchdog
      * uses it to tell "parked, will resume" from "wedged for good".
@@ -457,9 +446,6 @@ class Machine
         unsigned size = 0;        //!< access size
         uint64_t addr = 0;        //!< effective address
         bool elide = false;       //!< check-elision state at issue
-        /// Completion will never arrive (markDeferredOrphans): the
-        /// park no longer vetoes the quiescence watchdog.
-        bool orphaned = false;
     };
 
     MachineConfig config_;

@@ -12,6 +12,7 @@ Mesh::Mesh(const MeshConfig &config) : config_(config)
 {
     if (config_.dimX == 0 || config_.dimY == 0 || config_.dimZ == 0)
         sim::fatal("mesh: dimensions must be nonzero");
+    linkBusy_.assign(size_t(nodeCount()) * 6, 0);
     messages_ = &stats_.counter("messages");
     flits_ = &stats_.counter("flits");
     linkStallCycles_ = &stats_.counter("link_stall_cycles");
@@ -47,51 +48,6 @@ Mesh::hops(unsigned from, unsigned to) const
         return p > q ? p - q : q - p;
     };
     return dist(a.x, b.x) + dist(a.y, b.y) + dist(a.z, b.z);
-}
-
-uint64_t
-Mesh::chargeHop(uint64_t link, uint64_t t, unsigned flits)
-{
-    auto &busy = linkBusy_[link];
-    const uint64_t start = std::max(t, busy);
-    if (start > t)
-        (*linkStallCycles_) += start - t;
-    busy = start + flits; // link occupied for the message length
-    (*hopsTraversed_)++;
-    return start + config_.hopLatency;
-}
-
-uint64_t
-Mesh::send(unsigned from, unsigned to, uint64_t now, unsigned flits)
-{
-    if (from >= nodeCount() || to >= nodeCount())
-        sim::fatal("mesh: node id out of range");
-    if (from == to)
-        return now;
-
-    (*messages_)++;
-    (*flits_) += flits;
-
-    uint64_t t = now + config_.injectLatency;
-
-    // Dimension-order routing: X, then Y, then Z. At each hop the
-    // message occupies the outgoing link for `flits` cycles.
-    Coord cur = coordOf(from);
-    const Coord dst = coordOf(to);
-    unsigned at = from;
-    while (cur != dst) {
-        const unsigned direction = dimOrderStep(cur, dst);
-        t = chargeHop(linkId(at, direction), t, flits);
-        at = nodeAt(cur);
-    }
-
-    const uint64_t done = t + config_.injectLatency + flits - 1;
-    deliveryLatency_->sample(done - now);
-    GP_TRACE(NoC, now, from, "send",
-             "dst=%u flits=%u hops=%u latency=%llu", to, flits,
-             hops(from, to),
-             static_cast<unsigned long long>(done - now));
-    return done;
 }
 
 int
@@ -174,29 +130,7 @@ Mesh::failLink(unsigned node, unsigned direction)
 }
 
 bool
-Mesh::dimOrderRoute(
-    unsigned from, unsigned to,
-    std::vector<std::pair<uint64_t, unsigned>> &hops_out) const
-{
-    Coord cur = coordOf(from);
-    const Coord dst = coordOf(to);
-    unsigned at = from;
-    while (cur != dst) {
-        const unsigned direction = dimOrderStep(cur, dst);
-        const unsigned next_id = nodeAt(cur);
-        if (linkDown(at, direction) ||
-            (next_id != to && nodeDead(next_id)))
-            return false;
-        hops_out.emplace_back(linkId(at, direction), next_id);
-        at = next_id;
-    }
-    return true;
-}
-
-bool
-Mesh::detourRoute(
-    unsigned from, unsigned to,
-    std::vector<std::pair<uint64_t, unsigned>> &hops_out) const
+Mesh::detourRoute(unsigned from, unsigned to)
 {
     // Breadth-first over live nodes and up links, expanding neighbors
     // in the fixed +x/-x/+y/-y/+z/-z order, so the route — and thus
@@ -226,20 +160,16 @@ Mesh::detourRoute(
     }
     if (!seen[to])
         return false;
-    const size_t base = hops_out.size();
+    route_.clear();
     for (unsigned at = to; at != from; at = unsigned(parent[at]))
-        hops_out.emplace_back(
-            linkId(unsigned(parent[at]), unsigned(via[at])), at);
-    std::reverse(hops_out.begin() + ptrdiff_t(base), hops_out.end());
+        route_.push_back(linkId(unsigned(parent[at]), unsigned(via[at])));
+    std::reverse(route_.begin(), route_.end());
     return true;
 }
 
 Mesh::SendOutcome
 Mesh::trySend(unsigned from, unsigned to, uint64_t now, unsigned flits)
 {
-    if (!degraded_)
-        return SendOutcome{true, send(from, to, now, flits), false};
-
     if (from >= nodeCount() || to >= nodeCount())
         sim::fatal("mesh: node id out of range");
     if (nodeDead(from) || nodeDead(to)) {
@@ -249,39 +179,57 @@ Mesh::trySend(unsigned from, unsigned to, uint64_t now, unsigned flits)
     if (from == to)
         return SendOutcome{true, now, false};
 
-    // Prefer the dimension-order route when it survived: pairs whose
-    // traffic never touches the failure get exactly the healthy
-    // fabric's path and occupancy pattern.
-    std::vector<std::pair<uint64_t, unsigned>> route;
-    if (!dimOrderRoute(from, to, route)) {
-        route.clear();
-        if (!detourRoute(from, to, route)) {
-            unreachable_++;
-            GP_TRACE(NoC, now, from, "unreachable", "dst=%u", to);
-            return SendOutcome{};
+    // Dimension-order route: X, then Y, then Z. Once degraded, a
+    // route crossing a dead link or node falls back to the detour.
+    route_.clear();
+    Coord cur = coordOf(from);
+    const Coord dst = coordOf(to);
+    unsigned at = from;
+    bool blocked = false;
+    while (cur != dst) {
+        const unsigned direction = dimOrderStep(cur, dst);
+        const unsigned next = nodeAt(cur);
+        if (degraded_ && (linkDown(at, direction) ||
+                          (next != to && nodeDead(next)))) {
+            blocked = true;
+            break;
         }
+        route_.push_back(linkId(at, direction));
+        at = next;
+    }
+    if (blocked && !detourRoute(from, to)) {
+        unreachable_++;
+        GP_TRACE(NoC, now, from, "unreachable", "dst=%u", to);
+        return SendOutcome{};
     }
 
+    // At each hop the message occupies the outgoing link for `flits`
+    // cycles, queuing behind whatever holds it.
     (*messages_)++;
     (*flits_) += flits;
-    const unsigned manhattan = hops(from, to);
-    const bool detoured = route.size() > manhattan;
     uint64_t t = now + config_.injectLatency;
-    for (const auto &[link, next] : route) {
-        t = chargeHop(link, t, flits);
-        (void)next;
+    for (const uint64_t link : route_) {
+        uint64_t &busy = linkBusy_[link];
+        const uint64_t start = std::max(t, busy);
+        if (start > t)
+            (*linkStallCycles_) += start - t;
+        busy = start + flits;
+        t = start + config_.hopLatency;
     }
-    if (detoured) {
-        t += (route.size() - manhattan) * config_.detourPenalty;
+    (*hopsTraversed_) += route_.size();
+    // A BFS route is never shorter than the Manhattan distance.
+    const uint64_t extra_hops = blocked ? route_.size() - hops(from, to) : 0;
+    if (extra_hops > 0) {
+        t += extra_hops * config_.detourPenalty;
         detours_++;
     }
     const uint64_t done = t + config_.injectLatency + flits - 1;
     deliveryLatency_->sample(done - now);
     GP_TRACE(NoC, now, from, "send",
              "dst=%u flits=%u hops=%zu%s latency=%llu", to, flits,
-             route.size(), detoured ? " (detour)" : "",
+             route_.size(), extra_hops > 0 ? " (detour)" : "",
              static_cast<unsigned long long>(done - now));
-    return SendOutcome{true, done, detoured};
+    return SendOutcome{true, done, extra_hops > 0};
 }
 
 } // namespace gp::noc

@@ -14,7 +14,6 @@
 #define GP_NOC_MESH_H
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/stats.h"
@@ -64,16 +63,7 @@ class Mesh
     /** Manhattan hop count between two nodes. */
     unsigned hops(unsigned from, unsigned to) const;
 
-    /**
-     * Send a message of `flits` flits at cycle `now` over a healthy
-     * fabric. @return the delivery cycle, accounting for link queuing
-     * along the dimension-order route. Ignores failure state — once
-     * the fabric is degraded() callers must use trySend() instead.
-     */
-    uint64_t send(unsigned from, unsigned to, uint64_t now,
-                  unsigned flits = 1);
-
-    /** Outcome of a fault-aware send attempt. */
+    /** Outcome of a send attempt. */
     struct SendOutcome
     {
         bool delivered = false; //!< false: no surviving route
@@ -82,19 +72,29 @@ class Mesh
     };
 
     /**
-     * Fault-aware send. On a healthy fabric this is exactly send()
-     * (same accounting, byte-identical timing). Once degraded, the
-     * message takes the dimension-order route when it survives, or
-     * the deterministic shortest detour around dead links/nodes
-     * (breadth-first, fixed +x/-x/+y/-y/+z/-z direction order)
-     * charging detourPenalty extra cycles per hop beyond the
-     * Manhattan distance. A dead endpoint or a partitioned pair is
-     * returned as not delivered — the typed-unreachable signal the
-     * end-to-end retry protocol converts into a NodeUnreachable
-     * fault.
+     * Send a message of @p flits flits from @p from to @p to at cycle
+     * @p now: the one routing and charging path of the mesh. The
+     * message takes the dimension-order route, queuing behind earlier
+     * traffic on every link it crosses. Once the fabric is degraded()
+     * and that route crosses a dead link or node, it takes the
+     * deterministic shortest detour instead (breadth-first, fixed
+     * +x/-x/+y/-y/+z/-z direction order), charging detourPenalty extra
+     * cycles per hop beyond the Manhattan distance; pairs whose route
+     * avoids the damage see exactly the healthy fabric's timing. A
+     * dead endpoint or a partitioned pair is returned as not
+     * delivered — the typed-unreachable signal the end-to-end retry
+     * protocol converts into a NodeUnreachable fault.
      */
     SendOutcome trySend(unsigned from, unsigned to, uint64_t now,
                         unsigned flits = 1);
+
+    /** trySend() for callers that know the pair is reachable:
+     * @return the delivery cycle (0 if it was not delivered). */
+    uint64_t
+    send(unsigned from, unsigned to, uint64_t now, unsigned flits = 1)
+    {
+        return trySend(from, to, now, flits).cycle;
+    }
 
     /** Fail-stop node death: every link touching @p node goes down
      * with it. Permanent for the life of the mesh. */
@@ -130,7 +130,7 @@ class Mesh
     uint64_t downLinkCount() const { return downLinkCount_; }
     /** Messages delivered over a longer-than-Manhattan route. */
     uint64_t detourCount() const { return detours_; }
-    /** trySend() attempts that found no surviving route. */
+    /** Send attempts that found no surviving route. */
     uint64_t unreachableCount() const { return unreachable_; }
 
     /**
@@ -173,8 +173,7 @@ class Mesh
 
     /** One dimension-order step (X, then Y, then Z) from @p cur
      * toward @p dst != @p cur: moves @p cur to the next node and
-     * @return the direction (as failLink()) of the link taken. The
-     * one next-hop rule of send() and dimOrderRoute(). */
+     * @return the direction (as failLink()) of the link taken. */
     static unsigned
     dimOrderStep(Coord &cur, const Coord &dst)
     {
@@ -193,38 +192,26 @@ class Mesh
         return up ? 4 : 5;
     }
 
-    /** Charge one hop over @p link starting no earlier than @p t:
-     * link occupancy, stall accounting, hop latency. @return the
-     * cycle the head flit leaves the link. Shared by send() and the
-     * degraded trySend() path so both charge contention the same
-     * way. */
-    uint64_t chargeHop(uint64_t link, uint64_t t, unsigned flits);
-
-    /** Dimension-order route from @p from to @p to; @return false if
-     * it crosses a down link or dead node (degraded fabric only). On
-     * success appends the (linkId, nextNode) hops to @p hops_out. */
-    bool dimOrderRoute(unsigned from, unsigned to,
-                       std::vector<std::pair<uint64_t, unsigned>>
-                           &hops_out) const;
-
     /** Deterministic BFS shortest route avoiding dead links/nodes
-     * (fixed direction order). @return false when partitioned. */
-    bool detourRoute(unsigned from, unsigned to,
-                     std::vector<std::pair<uint64_t, unsigned>>
-                         &hops_out) const;
+     * (fixed direction order), written to route_ as link ids.
+     * @return false when partitioned. */
+    bool detourRoute(unsigned from, unsigned to);
 
     MeshConfig config_;
-    /// per-link busy-until cycle
-    std::unordered_map<uint64_t, uint64_t> linkBusy_;
+    /// Busy-until cycle of every link, indexed by linkId().
+    std::vector<uint64_t> linkBusy_;
+    /// Link ids of the route being sent; reused so a send allocates
+    /// nothing once it has grown to the longest route.
+    std::vector<uint64_t> route_;
     sim::StatGroup stats_{"mesh"};
 
     // Failure state. Both vectors stay empty until the first
-    // failNode/failLink call (degraded_ flips then), so the healthy
-    // fast path costs one bool test. Raw members, not stat counters:
-    // the sharded-mesh signature mixes every mesh counter, and a
-    // disarmed run must hash byte-identically to the pre-resilience
-    // baselines (ShardedMesh::signature mixes these separately, only
-    // once the fabric is degraded).
+    // failNode/failLink call (degraded_ flips then), so a healthy
+    // send's failure checks cost one bool test. Raw members, not stat
+    // counters: the sharded-mesh signature mixes every mesh counter,
+    // and a disarmed run must hash byte-identically to the
+    // pre-resilience baselines (ShardedMesh::signature mixes these
+    // separately, only once the fabric is degraded).
     bool degraded_ = false;
     std::vector<char> deadNodes_;  //!< by node id (sized on demand)
     std::vector<char> downLinks_;  //!< by linkId (sized on demand)
@@ -233,7 +220,8 @@ class Mesh
     uint64_t detours_ = 0;
     uint64_t unreachable_ = 0;
 
-    // Cached stat handles so send() pays increments, not map lookups.
+    // Cached stat handles so trySend() pays increments, not map
+    // lookups.
     sim::Counter *messages_ = nullptr;
     sim::Counter *flits_ = nullptr;
     sim::Counter *linkStallCycles_ = nullptr;

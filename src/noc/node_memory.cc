@@ -193,105 +193,22 @@ NodeMemory::timedAccess(Word ptr, Access kind, unsigned size,
             (*localMisses_)++;
         } else {
             // Request flit to the home node, memory access there,
-            // line-sized reply back — each leg through the link
-            // protocol engine (exactly Mesh::send when the protocol
-            // is off and no campaign is armed).
-            const unsigned line_flits = config_.cache.lineBytes / 8;
-            const bool reliable = retrans_.config().enabled;
-
-            // Retry timeouts are itemised as Retransmit inside
-            // transfer(); the rest of each leg is mesh flight time
-            // (Noc), recovered as leg-minus-retransmit here.
-            uint64_t mark = 0;
-            if (sim::Profiler::armed())
-                mark = sim::Profiler::instance().accTotal();
-            const Delivery rq = retrans_.transfer(node_, home, t, 1);
-            if (sim::Profiler::armed()) {
-                auto &prof = sim::Profiler::instance();
-                const uint64_t retr = prof.accTotal() - mark;
-                const uint64_t leg = rq.cycle - t;
-                prof.accSeg(sim::ProfComp::Noc,
-                            leg > retr ? leg - retr : 0);
-            }
-            if (rq.unreachable) {
-                // No surviving route to the home node (fail-stop
-                // death or a partitioning link failure). The network
-                // interface *knows* — with the protocol on, the full
-                // timeout/backoff retry budget was burned first; raw
-                // links learn from the route table immediately. A
-                // typed fault either way, never a hang.
-                acc.fault = Fault::NodeUnreachable;
-                acc.completeCycle = rq.cycle;
-                unreachableFaults_++;
-                if (!statUnreachableFaults_)
-                    statUnreachableFaults_ =
-                        &stats_.counter("node_unreachable_faults");
-                (*statUnreachableFaults_)++;
+            // line-sized reply back: two legs of the one step.
+            Delivery rq, rp;
+            if (!leg(node_, home, t, 1, rq, acc))
                 return acc;
-            }
-            if (!rq.delivered || (!reliable && rq.corrupted)) {
-                // The request never reaches (or never parses at)
-                // the home node. With the protocol on this is a
-                // *detected* failure; without it, nothing will ever
-                // answer — the access hangs.
-                acc.completeCycle = rq.cycle;
-                if (reliable) {
-                    acc.fault = Fault::MemoryIntegrity;
-                    (*nocDeliveryFailures_)++;
-                } else {
-                    acc.hang = true;
-                    (*nocHangs_)++;
-                }
-                return acc;
-            }
-
             const uint64_t served =
                 rq.cycle + config_.timing.extMemAccess;
-            if (sim::Profiler::armed()) {
+            if (sim::Profiler::armed())
                 sim::Profiler::instance().accBase(
                     config_.timing.extMemAccess);
-                mark = sim::Profiler::instance().accTotal();
-            }
-            const Delivery rp =
-                retrans_.transfer(home, node_, served, line_flits);
-            if (sim::Profiler::armed()) {
-                auto &prof = sim::Profiler::instance();
-                const uint64_t retr = prof.accTotal() - mark;
-                const uint64_t leg = rp.cycle - served;
-                prof.accSeg(sim::ProfComp::Noc,
-                            leg > retr ? leg - retr : 0);
-            }
-            if (rp.unreachable) {
-                // The reply found no surviving route back (the
-                // failure landed mid-access). Same typed error as a
-                // dead home: the requester's end-to-end timeout is
-                // what detects it.
-                acc.fault = Fault::NodeUnreachable;
-                acc.completeCycle = rp.cycle;
-                unreachableFaults_++;
-                if (!statUnreachableFaults_)
-                    statUnreachableFaults_ =
-                        &stats_.counter("node_unreachable_faults");
-                (*statUnreachableFaults_)++;
+            if (!leg(home, node_, served, config_.cache.lineBytes / 8,
+                     rp, acc))
                 return acc;
-            }
-            if (!rp.delivered) {
-                acc.completeCycle = rp.cycle;
-                if (reliable) {
-                    acc.fault = Fault::MemoryIntegrity;
-                    (*nocDeliveryFailures_)++;
-                } else {
-                    acc.hang = true;
-                    (*nocHangs_)++;
-                }
-                return acc;
-            }
-            if (!reliable && rp.corrupted && kind != Access::Store) {
-                // Mangled reply payload on an unprotected link:
-                // silent corruption of the loaded word, applied
-                // after the functional read below.
-                corrupt_reply = true;
-            }
+            // A mangled reply payload on a raw link: silent
+            // corruption of the loaded word, applied after the
+            // functional read below.
+            corrupt_reply = rp.corrupted && kind != Access::Store;
             t = rp.cycle;
             (*remoteMisses_)++;
             (*remoteLatency_) += t - now;
@@ -346,6 +263,50 @@ NodeMemory::timedAccess(Word ptr, Access kind, unsigned size,
 
     acc.completeCycle = t;
     return acc;
+}
+
+bool
+NodeMemory::leg(unsigned from, unsigned to, uint64_t start,
+                unsigned flits, Delivery &d, mem::MemAccess &acc)
+{
+    d = retrans_.transfer(from, to, start, flits);
+    if (sim::Profiler::armed()) {
+        auto &prof = sim::Profiler::instance();
+        prof.accSeg(sim::ProfComp::Retransmit, d.retryCycles);
+        prof.accSeg(sim::ProfComp::Noc,
+                    d.cycle - start - d.retryCycles);
+    }
+    if (d.unreachable) {
+        // No surviving route between the node and the home (fail-stop
+        // death or a partitioning link failure, possibly landing
+        // mid-access). The network interface *knows* — with the
+        // protocol on, the full timeout/backoff retry budget was
+        // burned first; raw links learn from the route table
+        // immediately. A typed fault either way, never a hang.
+        acc.fault = Fault::NodeUnreachable;
+        acc.completeCycle = d.cycle;
+        if (!statUnreachableFaults_)
+            statUnreachableFaults_ =
+                &stats_.counter("node_unreachable_faults");
+        (*statUnreachableFaults_)++;
+        return false;
+    }
+    // A mangled request never parses at the home node: as lost as a
+    // dropped one. A mangled reply still arrives; the caller decides.
+    const bool request = from == node_;
+    if (d.delivered && !(request && d.corrupted))
+        return true;
+    // With the protocol on a lost message is a *detected* failure;
+    // without it, nothing will ever answer — the access hangs.
+    acc.completeCycle = d.cycle;
+    if (retrans_.config().enabled) {
+        acc.fault = Fault::MemoryIntegrity;
+        (*nocDeliveryFailures_)++;
+    } else {
+        acc.hang = true;
+        (*nocHangs_)++;
+    }
+    return false;
 }
 
 void

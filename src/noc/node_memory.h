@@ -265,7 +265,12 @@ class NodeMemory : public mem::MemoryPort
     sim::StatGroup &stats() { return stats_; }
 
     /** Accesses that faulted NodeUnreachable (dead home / no route). */
-    uint64_t unreachableFaults() const { return unreachableFaults_; }
+    uint64_t
+    unreachableFaults() const
+    {
+        return statUnreachableFaults_ ? statUnreachableFaults_->value()
+                                      : 0;
+    }
 
     /**
      * Attach (or detach, with nullptr) the sharded mesh engine's
@@ -303,6 +308,19 @@ class NodeMemory : public mem::MemoryPort
     mem::MemAccess timedAccess(Word ptr, Access kind, unsigned size,
                                uint64_t now, Word store_value);
 
+    /**
+     * One NoC leg of a remote miss, the request or the line reply:
+     * moves @p flits flits from @p from to @p to at @p start through
+     * the link protocol into @p d, and itemises the leg in the
+     * profile (Retransmit = the retry timeouts, Noc = the rest). A
+     * leg that did not deliver ends the access in @p acc: the typed
+     * NodeUnreachable fault, a MemoryIntegrity fault with the
+     * protocol on, or a hang with it off. A corrupted request counts
+     * as lost. @return false when the access ended here.
+     */
+    bool leg(unsigned from, unsigned to, uint64_t start,
+             unsigned flits, Delivery &d, mem::MemAccess &acc);
+
     unsigned node_;
     Mesh &mesh_;
     GlobalMemory &global_;
@@ -337,7 +355,6 @@ class NodeMemory : public mem::MemoryPort
     /// failure-free run must expose exactly the counter set the
     /// blessed baselines were pinned to.
     sim::Counter *statUnreachableFaults_ = nullptr;
-    uint64_t unreachableFaults_ = 0;
 };
 
 } // namespace gp::noc

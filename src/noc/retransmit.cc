@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/faultinject.h"
-#include "sim/profile.h"
 #include "sim/trace.h"
 
 namespace gp::noc {
@@ -41,13 +40,6 @@ Delivery
 Retransmitter::transfer(unsigned from, unsigned to, uint64_t now,
                         unsigned flits)
 {
-    // Fast path: bit-identical to the unprotected baseline. A
-    // degraded fabric (failed nodes/links — possible even with the
-    // injector disarmed, e.g. tests failing hardware directly) must
-    // take the fault-aware path so dead routes are noticed.
-    if (!cfg_.enabled && !FaultInjector::armed() && !mesh_.degraded())
-        return Delivery{true, false, mesh_.send(from, to, now, flits),
-                        1};
     return cfg_.enabled ? reliableTransfer(from, to, now, flits)
                         : rawTransfer(from, to, now, flits);
 }
@@ -56,34 +48,36 @@ Delivery
 Retransmitter::rawTransfer(unsigned from, unsigned to, uint64_t now,
                            unsigned flits)
 {
-    auto &inj = FaultInjector::instance();
-
+    // The four in-flight fault draws. Disarmed, the singleton is not
+    // even touched: constructing it registers its stat group.
     uint64_t extra = 0;
-    if (inj.fire(FaultSite::NocDelay))
-        extra = inj.drawBelow(FaultSite::NocDelay,
-                              inj.config().nocDelayMax) +
-                1;
+    bool corrupted = false;
+    if (FaultInjector::armed()) {
+        auto &inj = FaultInjector::instance();
+        if (inj.fire(FaultSite::NocDelay))
+            extra = inj.drawBelow(FaultSite::NocDelay,
+                                  inj.config().nocDelayMax) +
+                    1;
 
-    if (inj.fire(FaultSite::NocDrop)) {
-        // The message vanishes; no protocol exists to notice.
-        (*statRawDrops_)++;
-        GP_TRACE(NoC, now, from, "drop", "dst=%u flits=%u", to,
-                 flits);
-        return Delivery{false, false, now, 1};
-    }
+        if (inj.fire(FaultSite::NocDrop)) {
+            // The message vanishes; no protocol exists to notice.
+            (*statRawDrops_)++;
+            GP_TRACE(NoC, now, from, "drop", "dst=%u flits=%u", to,
+                     flits);
+            return Delivery{false, false, now, 1};
+        }
 
-    Delivery d;
-    d.delivered = true;
-    d.corrupted = inj.fire(FaultSite::NocCorrupt);
-    if (d.corrupted) {
-        (*statRawCorruptions_)++;
-        GP_TRACE(NoC, now, from, "corrupt", "dst=%u", to);
-    }
+        corrupted = inj.fire(FaultSite::NocCorrupt);
+        if (corrupted) {
+            (*statRawCorruptions_)++;
+            GP_TRACE(NoC, now, from, "corrupt", "dst=%u", to);
+        }
 
-    if (inj.fire(FaultSite::NocDuplicate)) {
-        // A second copy traverses (and occupies) the same route.
-        (*statRawDuplicates_)++;
-        mesh_.trySend(from, to, now, flits);
+        if (inj.fire(FaultSite::NocDuplicate)) {
+            // A second copy traverses (and occupies) the same route.
+            (*statRawDuplicates_)++;
+            mesh_.trySend(from, to, now, flits);
+        }
     }
 
     const Mesh::SendOutcome out = mesh_.trySend(from, to, now, flits);
@@ -95,8 +89,7 @@ Retransmitter::rawTransfer(unsigned from, unsigned to, uint64_t now,
         GP_TRACE(NoC, now, from, "unreachable", "dst=%u", to);
         return Delivery{false, false, now, 1, true};
     }
-    d.cycle = out.cycle + extra;
-    return d;
+    return Delivery{true, corrupted, out.cycle + extra, 1};
 }
 
 Delivery
@@ -105,6 +98,7 @@ Retransmitter::reliableTransfer(unsigned from, unsigned to,
 {
     auto &inj = FaultInjector::instance();
     uint64_t t = now;
+    uint64_t retryCycles = 0;
     bool sawUnreachable = false;
     for (unsigned attempt = 1; attempt <= cfg_.maxAttempts;
          ++attempt) {
@@ -116,9 +110,7 @@ Retransmitter::reliableTransfer(unsigned from, unsigned to,
             GP_TRACE(NoC, attemptStart, from, why, "dst=%u attempt=%u",
                      to, attempt);
             t = attemptStart + timeoutFor(attempt - 1);
-            if (sim::Profiler::armed())
-                sim::Profiler::instance().accSeg(
-                    sim::ProfComp::Retransmit, t - attemptStart);
+            retryCycles += t - attemptStart;
         };
 
         uint64_t extra = 0;
@@ -186,7 +178,8 @@ Retransmitter::reliableTransfer(unsigned from, unsigned to,
             continue;
         }
 
-        return Delivery{true, false, dataArrive, attempt};
+        return Delivery{true, false, dataArrive, attempt, false,
+                        retryCycles};
     }
 
     // Retry budget exhausted: a *detected* delivery failure — the
@@ -198,7 +191,8 @@ Retransmitter::reliableTransfer(unsigned from, unsigned to,
         (*statUnreachable_)++;
     GP_TRACE(NoC, now, from, "abandoned", "dst=%u attempts=%u", to,
              cfg_.maxAttempts);
-    return Delivery{false, false, t, cfg_.maxAttempts, sawUnreachable};
+    return Delivery{false, false, t, cfg_.maxAttempts, sawUnreachable,
+                    retryCycles};
 }
 
 } // namespace gp::noc

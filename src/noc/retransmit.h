@@ -21,8 +21,8 @@
  *  - sender timeout with exponential backoff, bounded attempts;
  *  - receiver duplicate suppression by sequence number.
  *
- * With the protocol disabled and no campaign armed, transfer() is
- * exactly Mesh::send() — bit-identical timing, zero extra state.
+ * With the protocol disabled and no campaign armed, a transfer is one
+ * Mesh::trySend() — bit-identical timing, zero extra state.
  */
 
 #ifndef GP_NOC_RETRANSMIT_H
@@ -74,6 +74,10 @@ struct Delivery
      * generic MemoryIntegrity delivery failure.
      */
     bool unreachable = false;
+    /** Cycles spent waiting out the timeouts of lost attempts (the
+     * protocol's retry cost; 0 on a raw link). The rest of the leg,
+     * cycle minus the start and this, is mesh flight time. */
+    uint64_t retryCycles = 0;
 };
 
 /**
@@ -94,8 +98,8 @@ class Retransmitter
     /**
      * Move one message of @p flits flits from @p from to @p to
      * starting at cycle @p now, under whatever fault campaign is
-     * armed. Fast path (protocol disabled, injector disarmed) is
-     * exactly Mesh::send.
+     * armed: the reliable protocol when enabled, the raw link
+     * otherwise.
      */
     Delivery transfer(unsigned from, unsigned to, uint64_t now,
                       unsigned flits);

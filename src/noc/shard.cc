@@ -191,11 +191,6 @@ ShardedMesh::killNode(unsigned n)
     if (n >= machines_.size() || mesh_.nodeDead(n))
         return;
     mesh_.failNode(n);
-    // Whatever split transactions the dying node still has parked
-    // will never complete (its exchange ops are dropped below and
-    // nothing new is posted); mark them so post-mortems can tell
-    // wedged-by-death from in-flight.
-    machines_[n]->markDeferredOrphans();
     sim::warn("sharded mesh: node %u fail-stopped at cycle %llu", n,
               static_cast<unsigned long long>(cycle_));
 }
@@ -289,15 +284,14 @@ ShardedMesh::drainEpoch()
         ops = exchange_.drain();
     }
 
-    // The exchange is empty: every split transaction still parked on
-    // a surviving machine is an orphan (its completion can no longer
-    // arrive) and must not veto that machine's quiescence watchdog.
-    // In the current protocol this only happens through fail-stop
-    // drops above, but the invariant is checked unconditionally —
-    // a lost op is a hang either way.
+    // The exchange is empty, so every op a survivor posted has
+    // completed (an op to a dead home completes NodeUnreachable).
+    // Only a dead poster's ops are dropped, and a dead machine is
+    // never stepped again.
     for (unsigned n = 0; n < machines_.size(); ++n)
         if (!mesh_.nodeDead(n) && machines_[n]->hasDeferred())
-            machines_[n]->markDeferredOrphans();
+            sim::panic("sharded mesh: node %u still holds a split "
+                       "transaction after the epoch drain", n);
 
     refreshLive();
 }
@@ -413,7 +407,7 @@ ShardedMesh::postMortem(std::ostream &os) const
             continue; // finished cleanly — not interesting here
         os << "node " << n << ": cycle=" << m.cycle()
            << (m.watchdogTripped() ? " watchdog=TRIPPED" : "")
-           << (m.hasDeferred() ? " orphaned-parks" : "") << "\n";
+           << "\n";
         for (const isa::Thread &t : m.threads()) {
             if (t.state() == isa::ThreadState::Idle)
                 continue;

@@ -140,9 +140,8 @@ class ShardedMesh
     /**
      * Fail-stop death of node @p n, effective at the next epoch
      * barrier boundary: its mesh links go down, its machine freezes
-     * as-is (never stepped again, excluded from allDone()), its
-     * still-parked split transactions are orphaned, and any exchange
-     * ops it posted are dropped. Idempotent. Also the entry point
+     * as-is (never stepped again, excluded from allDone()), and any
+     * exchange ops it posted are dropped. Idempotent. Also the entry point
      * the NodeFailStop fault site uses.
      */
     void killNode(unsigned n);
@@ -164,7 +163,7 @@ class ShardedMesh
      * Flight-recorder-style post-mortem of the mesh: failure set,
      * degraded-routing tallies, and the state of every surviving
      * machine that had not finished (thread states, IPs, recent
-     * faults, orphaned parks). Written by gpsim when a mesh run
+     * faults). Written by gpsim when a mesh run
      * trips a watchdog; cheap enough to call any time.
      */
     void postMortem(std::ostream &os) const;

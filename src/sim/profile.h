@@ -151,16 +151,6 @@ class Profiler
         accSegs_[accN_++] = Seg{comp, len};
     }
 
-    /** Sum of scratch segment lengths (for leg-delta accounting). */
-    uint64_t
-    accTotal() const
-    {
-        uint64_t total = 0;
-        for (uint32_t i = 0; i < accN_; ++i)
-            total += accSegs_[i].len;
-        return total;
-    }
-
     // ---- machine hooks (armed only) ------------------------------
 
     /**

@@ -222,9 +222,11 @@ TEST_F(ProfileWorkloadTest, GateCrossingsBuildCallStacks)
     // The subsystem's per-domain enter count reflects the crossings:
     // one enter per call (plus none for the return, which re-enters
     // the caller's domain instead).
-    for (const auto &d : prof().domains())
-        if (d.name == "sub1")
+    for (const auto &d : prof().domains()) {
+        if (d.name == "sub1") {
             EXPECT_EQ(d.enters, 16u);
+        }
+    }
 }
 
 TEST_F(ProfileWorkloadTest, IntervalSeriesCoversTheRun)

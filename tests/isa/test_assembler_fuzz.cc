@@ -68,7 +68,11 @@ std::string
 emit(const Inst &inst)
 {
     const std::string mnem{opName(inst.op)};
-    auto r = [](unsigned n) { return "r" + std::to_string(n); };
+    auto r = [](unsigned n) {
+        std::string s = "r";
+        s += std::to_string(n);
+        return s;
+    };
     const std::string imm = std::to_string(inst.imm);
     switch (inst.op) {
       case Op::NOP:

@@ -194,34 +194,6 @@ TEST_F(WatchdogParkTest, InFlightParkNeverTripsQuiescence)
     EXPECT_FALSE(machine_->watchdogTripped());
 }
 
-TEST_F(WatchdogParkTest, OrphanedParkTripsQuiescence)
-{
-    park(/*quiescence=*/200);
-    machine_->markDeferredOrphans();
-    EXPECT_TRUE(machine_->quiescentNow())
-        << "an orphaned park must not veto the trip";
-    machine_->run(20000);
-    EXPECT_TRUE(machine_->watchdogTripped());
-    EXPECT_EQ(thread_->state(), ThreadState::Faulted);
-    EXPECT_EQ(thread_->faultRecord().fault, Fault::WatchdogTimeout);
-}
-
-TEST_F(WatchdogParkTest, LateCompletionForOrphanStillDelivers)
-{
-    // Orphaning is bookkeeping, not cancellation: if a completion
-    // does arrive for an orphaned ticket (no watchdog armed), it is
-    // delivered normally.
-    park(/*quiescence=*/0);
-    machine_->markDeferredOrphans();
-    auto ops = exchange_.drain();
-    ASSERT_EQ(ops.size(), 1u);
-    machine_->completeDeferred(ops[0].ticket,
-                               node_->resolveDeferred(ops[0]));
-    machine_->run(20000);
-    EXPECT_EQ(thread_->state(), ThreadState::Halted);
-    EXPECT_FALSE(machine_->watchdogTripped());
-}
-
 TEST(Watchdog, FiniteStallNeverTripsQuiescence)
 {
     // A thread stalled to a *finite* future cycle (a long backoff)

@@ -11,6 +11,8 @@
 #include <memory>
 
 #include "noc/node_memory.h"
+#include "sim/faultinject.h"
+#include "sim/profile.h"
 
 namespace gp::noc {
 namespace {
@@ -135,6 +137,85 @@ TEST_F(NodeMemoryTest, CapabilitiesTravelAcrossNodes)
     ASSERT_TRUE(fetched.data.isPointer()) << "tag crossed the mesh";
     auto deref = node(2).load(fetched.data, 8);
     EXPECT_EQ(deref.data.bits(), 0xABCDu);
+}
+
+TEST(NodeMemoryProfile, LossyRemoteLoadItemisesRetransmitAndNoc)
+{
+    // Remote loads over a lossy link with the protocol on. Each leg
+    // of a miss must be itemised as Retransmit = its retryCycles and
+    // Noc = the rest of the leg, and the profile must still tile.
+    // A twin Retransmitter fed the same injector stream and the same
+    // leg start cycles on a fresh mesh yields each leg's Delivery.
+    sim::FaultConfig fc;
+    fc.seed = 5;
+    fc.rate[unsigned(sim::FaultSite::NocDrop)] = 0.3;
+    RetransConfig rc;
+    rc.enabled = true;
+    rc.maxAttempts = 16;
+    mem::MemConfig cfg;
+    const mem::MemTiming &tm = cfg.timing;
+    const unsigned kLoads = 24;
+    auto issueCycle = [](unsigned i) { return uint64_t(i) * 20000; };
+
+    auto &inj = sim::FaultInjector::instance();
+    uint64_t retransmit = 0, noc = 0;
+    std::vector<uint64_t> done;
+    {
+        Mesh twinMesh;
+        Retransmitter twin(twinMesh, rc, "t_twin_legs");
+        inj.arm(fc);
+        for (unsigned i = 0; i < kLoads; ++i) {
+            // Every load misses into a fresh page: probe, LTLB miss,
+            // walk, then the request leg.
+            const uint64_t t =
+                issueCycle(i) + tm.cacheHit + tm.tlbLookup + tm.ptWalk;
+            const Delivery rq = twin.transfer(0, 3, t, 1);
+            const uint64_t served = rq.cycle + tm.extMemAccess;
+            const Delivery rp =
+                twin.transfer(3, 0, served, cfg.cache.lineBytes / 8);
+            ASSERT_TRUE(rq.delivered && rp.delivered);
+            retransmit += rq.retryCycles + rp.retryCycles;
+            noc += (rq.cycle - t - rq.retryCycles) +
+                   (rp.cycle - served - rp.retryCycles);
+            done.push_back(rp.cycle);
+        }
+        inj.disarm();
+    }
+    ASSERT_GT(retransmit, 0u) << "the storm must force retries";
+
+    Mesh mesh;
+    GlobalMemory global;
+    NodeMemory node(0, mesh, global, cfg, rc);
+    sim::Profiler &prof = sim::Profiler::instance();
+    prof.reset();
+    sim::ProfileConfig pc;
+    pc.pc = true;
+    prof.arm(1, 1, pc);
+    inj.arm(fc);
+    for (unsigned i = 0; i < kLoads; ++i) {
+        const uint64_t now = issueCycle(i);
+        auto p = makePointer(Perm::ReadWrite, 12,
+                             nodeBase(3) + 0x100000 + i * 4096);
+        ASSERT_TRUE(p);
+        prof.beginInst(0, now, 0x1000, 0x1000, 0x2000);
+        prof.accBegin(sim::ProfComp::DCache);
+        const mem::MemAccess acc = node.load(p.value, 8, now);
+        ASSERT_EQ(acc.fault, Fault::None);
+        ASSERT_EQ(acc.completeCycle, done[i]) << "load " << i;
+        prof.flushAccess(0, acc.completeCycle - now);
+        prof.endInst(0, acc.completeCycle + 1, sim::ProfComp::Compute);
+    }
+    inj.disarm();
+
+    ASSERT_EQ(prof.pcs().size(), 1u);
+    const auto &row = prof.pcs()[0];
+    EXPECT_EQ(row.comp[unsigned(sim::ProfComp::Retransmit)], retransmit);
+    EXPECT_EQ(row.comp[unsigned(sim::ProfComp::Noc)], noc);
+    uint64_t sum = 0;
+    for (unsigned c = 0; c < sim::kProfCompCount; ++c)
+        sum += row.comp[c];
+    EXPECT_EQ(sum, row.cycles) << "per-PC components tile occupancy";
+    prof.reset();
 }
 
 TEST_F(NodeMemoryTest, StatsDistinguishLocalAndRemote)

@@ -44,7 +44,8 @@ class RetransmitTest : public ::testing::Test
 
 TEST_F(RetransmitTest, FastPathMatchesRawMeshTiming)
 {
-    // Protocol off + injector disarmed must be *exactly* Mesh::send.
+    // Protocol off + injector disarmed must be *exactly* Mesh::send:
+    // a raw transfer is one send with no fault draws.
     Mesh meshA, meshB;
     Retransmitter rt(meshA, RetransConfig{}, "t_fast");
     uint64_t now = 0;
@@ -193,6 +194,45 @@ TEST_F(RetransmitTest, ExhaustionCyclePinsTheBackoffSequence)
     Retransmitter capped(mesh, rc, "t_exh_b");
     // Shifts 0..8 then capped: 64 * (511 + 3 * 256)
     EXPECT_EQ(capped.exhaustionCycle(0), 64u * (511u + 3u * 256u));
+}
+
+TEST_F(RetransmitTest, RetryCyclesAreTheSummedBackoffTimeouts)
+{
+    // Each lost attempt (data drop or ack loss) waits out its own
+    // backoff timeout; retryCycles is their sum, whether a later
+    // attempt delivers or the budget runs out.
+    Mesh mesh;
+    RetransConfig rc;
+    rc.enabled = true;
+    rc.timeout = 64;
+    rc.maxAttempts = 4;
+    Retransmitter rt(mesh, rc, "t_retry_cycles");
+    FaultInjector::instance().arm(storm(0.4, 0.0, 0.0, 0.0, 31));
+
+    unsigned retried = 0, abandoned = 0;
+    for (unsigned m = 0; m < 300; ++m) {
+        const uint64_t now = m * 4000;
+        const Delivery d = rt.transfer(2, 13, now, 4);
+        const unsigned lost = d.delivered ? d.attempts - 1 : d.attempts;
+        uint64_t backoff = 0;
+        for (unsigned a = 0; a < lost; ++a)
+            backoff += rc.timeout << a;
+        ASSERT_EQ(d.retryCycles, backoff) << "message " << m;
+        if (d.delivered && lost > 0)
+            retried++;
+        if (!d.delivered) {
+            abandoned++;
+            EXPECT_EQ(d.cycle, now + d.retryCycles);
+        }
+    }
+    EXPECT_GT(retried, 0u);
+    EXPECT_GT(abandoned, 0u);
+
+    // A raw link never waits: its retry cost is always zero.
+    Retransmitter raw(mesh, RetransConfig{}, "t_retry_cycles_raw");
+    for (unsigned m = 0; m < 50; ++m)
+        EXPECT_EQ(raw.transfer(2, 13, 2000000 + m * 100, 4).retryCycles,
+                  0u);
 }
 
 TEST_F(RetransmitTest, DeadHomeExhaustsExactlyAtTheBudget)

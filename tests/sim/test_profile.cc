@@ -59,13 +59,28 @@ TEST_F(ProfileTest, ComponentNamesAreStable)
 
 TEST_F(ProfileTest, ScratchMergesAdjacentAndSkipsZero)
 {
-    prof().arm(1, 1, ProfileConfig{});
+    // Forty segment calls fit the 16-segment scratch only because
+    // adjacent same-component segments merge and empty ones are
+    // skipped; otherwise the trailing TlbWalk cycles would clip into
+    // a DCache segment.
+    prof().arm(1, 1, allModes());
+    prof().beginInst(0, 100, 0x1000, 0x1000, 0x2000);
     prof().accBegin(ProfComp::DCache);
-    prof().accSeg(ProfComp::DCache, 3);
-    prof().accSeg(ProfComp::DCache, 2); // merges with previous
-    prof().accSeg(ProfComp::TlbWalk, 0); // ignored
+    for (unsigned i = 0; i < 20; ++i) {
+        prof().accSeg(ProfComp::DCache, 1);
+        prof().accSeg(ProfComp::TlbWalk, 0);
+    }
     prof().accSeg(ProfComp::TlbWalk, 4);
-    EXPECT_EQ(prof().accTotal(), 9u);
+    prof().flushAccess(0, 24);
+    prof().endInst(0, 125, ProfComp::Compute); // span 25: 24 + 1 tail
+
+    ASSERT_EQ(prof().pcs().size(), 1u);
+    const auto &pc = prof().pcs()[0];
+    EXPECT_EQ(pc.comp[unsigned(ProfComp::Issue)], 1u);
+    // The issue cycle eats the first DCache cycle of the timeline.
+    EXPECT_EQ(pc.comp[unsigned(ProfComp::DCache)], 19u);
+    EXPECT_EQ(pc.comp[unsigned(ProfComp::TlbWalk)], 4u);
+    EXPECT_EQ(pc.comp[unsigned(ProfComp::Compute)], 1u);
 }
 
 TEST_F(ProfileTest, FlushPadsShortfallWithBaseComponent)

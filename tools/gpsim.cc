@@ -338,9 +338,6 @@ validateOptions(const Options &opts)
     if (opts.fastMode && opts.mesh)
         return "--fast is functional-only and cannot drive the mesh "
                "timing model; drop --fast or --mesh";
-    if (opts.fastMode && opts.profile)
-        return "--fast skips the timing model, so there are no cycles "
-               "to profile; drop --fast or --profile";
     if (opts.mesh && opts.profileIntervalSet)
         return "--profile-interval snapshots are per-machine and not "
                "mesh-aware; drop --profile-interval";

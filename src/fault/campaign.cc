@@ -4,7 +4,6 @@
 #include "isa/loader.h"
 #include "isa/machine.h"
 #include "sim/log.h"
-#include "verify/verifier.h"
 
 namespace gp::fault {
 
@@ -110,7 +109,7 @@ struct Harness
     explicit Harness(const CampaignConfig &cc)
         : machine(makeConfig(cc))
     {
-        isa::Assembly assembly = isa::assemble(kWorkload);
+        const isa::Assembly assembly = isa::assemble(kWorkload);
         if (!assembly.ok)
             sim::fatal("campaign workload failed to assemble: %s",
                        assembly.error.c_str());
@@ -121,20 +120,6 @@ struct Harness
             sim::fatal("campaign: no thread slot");
         thread->setReg(1, isa::dataSegment(kDataBase, kDataLenLog2));
         thread->setReg(2, Word::fromInt(cc.iterations));
-        if (cc.elideChecks) {
-            // Prove the workload under the exact entry state set up
-            // above (r1 = RW data segment, r2 = integer) and register
-            // the proof at the load base. Injected runs still execute
-            // full checks — an armed FaultInjector disables elision at
-            // the instruction level — so only the golden run's timing
-            // changes, never any run's architectural outcome.
-            verify::VerifyOptions vopts;
-            vopts.entryRegs = verify::defaultEntryRegs(kDataBytes);
-            const verify::VerifyResult vres =
-                verify::verifyProgram(assembly, vopts);
-            machine.registerElideProof(verify::makeElideProof(
-                vres, assembly.words, false, kCodeBase));
-        }
     }
 };
 

@@ -108,14 +108,6 @@ struct CampaignConfig
     uint64_t watchdogCycles = 300000;
     /** Watchdog quiescence window per run. */
     uint64_t watchdogQuiescence = 5000;
-    /**
-     * Run with verifier-driven check elision armed: the harness
-     * verifies the workload and registers its proof. Injected runs
-     * auto-disable elision (an armed FaultInjector re-arms full
-     * checks), so the outcome taxonomy must be bit-identical to the
-     * elide-off campaign — the CI tripwire asserts exactly that.
-     */
-    bool elideChecks = false;
 };
 
 /** Everything observed about one run. */

@@ -122,8 +122,8 @@ Result<Word> leaForAccess(Word ptr, int64_t delta, Access kind,
 
 /**
  * Unchecked fast paths for statically-proven pointer operations
- * (gpsim --elide-checks=verified; see docs/VERIFIER.md "Proof export
- * & check elision"). Each produces a result bit-identical to the
+ * (gpsim --elide-checks=verified; see docs/VERIFIER.md "Check
+ * elision"). Each produces a result bit-identical to the
  * corresponding checked operation on its non-faulting path; calling
  * one where the checked operation would fault is a soundness bug —
  * the verifier's kElideNeverFaults verdict is the proof obligation

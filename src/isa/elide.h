@@ -1,23 +1,21 @@
 /**
  * @file
- * Elision verdict bitmap: the proof artifact gpverify exports and the
+ * Elision verdicts: the proof the verifier derives in-process and the
  * machine consumes to skip statically-proven guarded-pointer checks.
  *
  * The verifier's record pass (src/verify) accumulates, per
  * instruction, the union of every fault kind any concretization of
- * the abstract entry state may raise there. The complement of that
- * may-fault set is a *must-safe* proof: a verdict byte whose bits
- * assert that a class of runtime checks can never fire on this
- * instruction, for any execution from the declared entry state. The
- * machine bakes the byte into the predecoded-instruction cache
- * (decode time, never per-execute) and, when kElideNeverFaults holds,
- * runs the unchecked fast path.
+ * the abstract entry state may raise there. An empty union is a
+ * *must-safe* proof: kElideNeverFaults asserts that no check can ever
+ * fire on this instruction, for any execution from the declared entry
+ * state. The machine bakes the verdict into the predecoded-instruction
+ * cache (decode time, never per-execute) and, when it holds, runs the
+ * unchecked fast path.
  *
- * Soundness guards (see docs/VERIFIER.md "Proof export & check
- * elision"):
- *  - any may-fact at an instruction clears the corresponding bit —
- *    indirect jumps the fixpoint cannot resolve havoc the state, so
- *    everything reachable only through them keeps full checks;
+ * Soundness guards (see docs/VERIFIER.md "Check elision"):
+ *  - any may-fact at an instruction withholds the verdict — indirect
+ *    jumps the fixpoint cannot resolve havoc the state, so everything
+ *    reachable only through them keeps full checks;
  *  - a verdict is bound to the exact instruction bits it was proven
  *    for; the machine's raw-bits re-validation drops the verdict the
  *    moment code is overwritten (self-modifying code re-arms checks);
@@ -32,33 +30,18 @@
 #define GP_ISA_ELIDE_H
 
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 namespace gp::isa {
 
-/// The runtime bounds check (masked segment comparator) can never
-/// fire: no BoundsViolation is reachable at this instruction.
-inline constexpr uint8_t kElideBoundsSafe = 1u << 0;
-/// No permission/rights-lattice fault is reachable: tag, permission
-/// decode, rights check, immutability, RESTRICT/SUBSEG monotonicity,
-/// privilege, and enter-pointer checks all provably pass.
-inline constexpr uint8_t kElidePermSafe = 1u << 1;
-/// The natural-alignment check can never fire.
-inline constexpr uint8_t kElideAlignSafe = 1u << 2;
 /// No architectural fault of any kind is reachable here: the machine
 /// may run the instruction's unchecked datapath.
-inline constexpr uint8_t kElideNeverFaults = 1u << 3;
+inline constexpr uint8_t kElideNeverFaults = 1u << 0;
 /// Privilege mode the proof was established under (set = verified
 /// with an execute-privileged instruction pointer). Baked from
 /// ElideProof::privileged, compared against the thread's actual
 /// privilege at execute time.
-inline constexpr uint8_t kElidePrivileged = 1u << 4;
-
-/// Sidecar format version ("gpproof N" header). Bump on any change to
-/// verdict-bit semantics; the machine refuses mismatched versions.
-inline constexpr uint32_t kProofVersion = 1;
+inline constexpr uint8_t kElidePrivileged = 1u << 1;
 
 /**
  * The static half of the machine's elision gate: does this baked
@@ -87,28 +70,10 @@ struct ElideProof
     /// Raw 64-bit payload of each instruction word at proof time; the
     /// machine only applies verdicts[i] when the fetched bits match.
     std::vector<uint64_t> bits;
-    /// Verdict byte per instruction (kElide* flags, sans privileged —
-    /// that is proof-global and baked in by the consumer).
+    /// Verdict byte per instruction (kElideNeverFaults or 0; the
+    /// privilege bit is proof-global and baked in by the consumer).
     std::vector<uint8_t> verdicts;
-
-    bool empty() const { return verdicts.empty(); }
 };
-
-/** @return "bounds,perm,align,never-faults[,priv]" or "none". */
-std::string verdictNames(uint8_t verdict);
-
-/**
- * Render the proof in the versioned "gpproof" text sidecar format
- * (gpverify --emit-proofs writes this; gpsim --proofs reads it).
- */
-std::string serializeProof(const ElideProof &proof);
-
-/**
- * Parse a "gpproof" sidecar. @return false (with a message in *error
- * when given) on syntax or version mismatch; out is untouched then.
- */
-bool parseProof(std::string_view text, ElideProof &out,
-                std::string *error = nullptr);
 
 } // namespace gp::isa
 

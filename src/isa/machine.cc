@@ -166,8 +166,8 @@ Machine::initStats()
     hungAccesses_ = &stats_.counter("hung_accesses");
     predecodeHits_ = &stats_.counter("predecode_hits");
     predecodeMisses_ = &stats_.counter("predecode_misses");
-    elideChecksElided_ = &stats_.counter("elide_checks_elided");
-    elideChecksExecuted_ = &stats_.counter("elide_checks_executed");
+    checksElided_ = &stats_.counter("elide_checks_elided");
+    checksExecuted_ = &stats_.counter("elide_checks_executed");
     elideCyclesSaved_ = &stats_.counter("elide_cycles_saved");
     predecode_.assign(kPredecodeEntries, PredecodedInst{});
     for (unsigned i = 0; i < kInstClassCount; ++i)
@@ -697,7 +697,7 @@ Machine::finishFetch(Thread &thread, const mem::MemAccess &f)
         slot.bits = f.data.bits();
         slot.inst = *decoded;
         // Bake the elision verdict on the miss only: the hot hit path
-        // never consults the proof sidecar (the hit's raw-bits check
+        // never consults the proofs (the hit's raw-bits check
         // also guarantees the baked verdict still matches the code).
         slot.verdict = !elideProofs_.empty()
                            ? proofVerdict(ip_addr, f.data.bits())
@@ -747,9 +747,9 @@ void
 Machine::countCheck(bool elided)
 {
     if (elided)
-        (*elideChecksElided_)++;
+        (*checksElided_)++;
     else
-        (*elideChecksExecuted_)++;
+        (*checksExecuted_)++;
     if (sim::Profiler::armed())
         sim::Profiler::instance().noteCheck(elided);
 }
@@ -854,8 +854,8 @@ Machine::execute(Thread &thread, const PredecodedInst &slot,
     // Proven by the fetch that brought this instruction in.
     const bool priv = thread.ipPrivileged();
 
-    // Verifier-driven check elision (docs/VERIFIER.md "Proof export &
-    // check elision"): take the unchecked datapath only when the baked
+    // Verifier-driven check elision (docs/VERIFIER.md "Check
+    // elision"): take the unchecked datapath only when the baked
     // proof says this instruction can never fault, the thread runs at
     // the privilege the proof was derived under, and no runtime
     // mechanism can push execution outside the verified envelope — an

@@ -249,8 +249,8 @@ class Machine
      * predecoded entry, bound to the exact raw bits it was proven
      * for, and the machine runs the unchecked datapath for
      * instructions proven never to fault (gpsim
-     * --elide-checks=verified; docs/VERIFIER.md "Proof export & check
-     * elision"). Fault injection and an installed software fault
+     * --elide-checks=verified; docs/VERIFIER.md "Check elision").
+     * Fault injection and an installed software fault
      * handler re-arm full checks unconditionally. Also turns on the
      * elide_checks_* counting. Flushes the predecode cache so
      * already-decoded instructions pick up their verdicts.
@@ -390,7 +390,7 @@ class Machine
      * Look up the elision verdict for the instruction at vaddr with
      * the given raw bits. Cold path: called only on a predecode miss,
      * so the per-executed-instruction hot loop never touches the
-     * proof sidecar (tools/lint_hot_counters.sh enforces this).
+     * registered proofs (tools/lint_hot_counters.sh enforces this).
      */
     uint8_t proofVerdict(uint64_t vaddr, uint64_t bits) const;
 
@@ -493,8 +493,8 @@ class Machine
     /// Elidable-check events skipped / run once a proof was
     /// registered (both stay 0 otherwise). One event per pointer-op
     /// check, displacement LEA, access check, and IP-advance LEA.
-    sim::Counter *elideChecksElided_ = nullptr;
-    sim::Counter *elideChecksExecuted_ = nullptr;
+    sim::Counter *checksElided_ = nullptr;
+    sim::Counter *checksExecuted_ = nullptr;
     /// Simulated cycles the elided checking datapath gave back (one
     /// per elided pointer op: its execute tail folds into the fetch
     /// shadow).

@@ -31,7 +31,7 @@ class MemoryPort
      * Timed load through a guarded pointer. elide_check skips the
      * guarded-pointer access check (rights/alignment/bounds) — legal
      * only under a verifier proof that the check cannot fire
-     * (docs/VERIFIER.md "Proof export & check elision"); translation
+     * (docs/VERIFIER.md "Check elision"); translation
      * and integrity checking still run.
      */
     virtual MemAccess portLoad(Word ptr, unsigned size, uint64_t now,

@@ -34,16 +34,6 @@ PageTable::map(uint64_t vpn)
     return pfn;
 }
 
-void
-PageTable::mapTo(uint64_t vpn, uint64_t pfn)
-{
-    blocked_.erase(vpn);
-    table_[vpn] = pfn;
-    // The alias may shadow the memoised frame; evict the slot.
-    memo_[vpn & (kMemoEntries - 1)].vpn = kNoMru;
-    (*pagesMapped_)++;
-}
-
 bool
 PageTable::unmap(uint64_t vpn)
 {
@@ -73,14 +63,14 @@ PageTable::translateAddr(uint64_t vaddr)
 {
     const uint64_t page = vpn(vaddr);
     // Direct-mapped memo: a positive translation can only change via
-    // unmap()/mapTo(), both of which evict the affected slot, so a
-    // match is always the same answer the map lookup would give.
+    // unmap(), which evicts the affected slot, so a match is always
+    // the same answer the map lookup would give.
     MemoEntry &slot = memo_[page & (kMemoEntries - 1)];
     if (slot.vpn == page)
         return (slot.pfn << pageShift_) | (vaddr & (pageBytes() - 1));
     auto pfn = translate(page);
     if (!pfn) {
-        if (!allocateOnTouch_ || blocked_.count(page))
+        if (blocked_.count(page))
             return std::nullopt;
         pfn = map(page);
     }

@@ -41,9 +41,6 @@ class PageTable
      */
     uint64_t map(uint64_t vpn);
 
-    /** Map a virtual page to a specific frame (used for aliasing). */
-    void mapTo(uint64_t vpn, uint64_t pfn);
-
     /**
      * Remove a translation. Subsequent accesses fault, which is how a
      * segment's pointers are revoked or relocated en masse (§4.3). The
@@ -58,12 +55,9 @@ class PageTable
 
     /**
      * Translate a full virtual byte address to a physical byte address,
-     * mapping the page on demand when allocate_on_touch is set.
+     * mapping the page on demand unless it was unmap()ped.
      */
     std::optional<uint64_t> translateAddr(uint64_t vaddr);
-
-    /** Demand-map pages touched through translateAddr(). */
-    void setAllocateOnTouch(bool on) { allocateOnTouch_ = on; }
 
     size_t mappedPages() const { return table_.size(); }
 
@@ -81,9 +75,9 @@ class PageTable
     /// One slot of the translateAddr() memo. Purely a host-speed
     /// cache: the timed hit path performs a functional translation
     /// per access, and the working set of pages is tiny. A positive
-    /// translation can only change via unmap()/mapTo(), which evict
-    /// the affected slot, so a memo hit is always identical to the
-    /// map lookup.
+    /// translation can only change via unmap(), which evicts the
+    /// affected slot, so a memo hit is always identical to the map
+    /// lookup.
     struct MemoEntry
     {
         uint64_t vpn = kNoMru;
@@ -91,7 +85,6 @@ class PageTable
     };
 
     unsigned pageShift_;
-    bool allocateOnTouch_ = true;
     uint64_t nextFrame_ = 0;
     MemoEntry memo_[kMemoEntries];
     std::unordered_map<uint64_t, uint64_t> table_;

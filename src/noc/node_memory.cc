@@ -79,23 +79,32 @@ NodeMemory::access(Word ptr, Access kind, unsigned size, uint64_t now,
     // that the check cannot fire. Runs at issue time even when the
     // access itself is deferred below: a fault costs zero memory
     // cycles and never leaves the issuing shard.
+    mem::MemAccess acc;
+    acc.startCycle = now;
+    acc.completeCycle = now;
     if (!elide_check) {
-        const Fault f = checkAccess(ptr, kind, size);
-        if (f != Fault::None) {
-            mem::MemAccess acc;
-            acc.fault = f;
-            acc.startCycle = now;
-            acc.completeCycle = now;
+        acc.fault = checkAccess(ptr, kind, size);
+        if (acc.fault != Fault::None) {
             (*accessFaults_)++;
             return acc;
         }
+    }
+
+    // A pointer may cover homes the mesh does not have (a full-space
+    // segment covers all 64): such an access ends at issue with the
+    // typed fault, before it can reach a link or a slice.
+    const unsigned home = homeNode(ptr.addr());
+    if (home >= mesh_.nodeCount()) {
+        acc.fault = Fault::NodeUnreachable;
+        countUnreachable();
+        return acc;
     }
 
     // Sharded mesh engine: an access whose home is another node may
     // touch that node's slice (and the shared mesh links), so it is
     // parked in the epoch exchange and resolved at the barrier in
     // canonical order — the issuing thread sees a split transaction.
-    if (exchange_ != nullptr && homeNode(ptr.addr()) != node_) {
+    if (exchange_ != nullptr && home != node_) {
         DeferredAccess op;
         op.ticket = ++nextTicket_;
         op.node = node_;
@@ -105,15 +114,20 @@ NodeMemory::access(Word ptr, Access kind, unsigned size, uint64_t now,
         op.size = size;
         op.value = store_value;
         exchange_->post(op);
-        mem::MemAccess acc;
         acc.deferred = true;
         acc.ticket = op.ticket;
-        acc.startCycle = now;
-        acc.completeCycle = now;
         return acc;
     }
 
     return accessBody(ptr, kind, size, now, store_value);
+}
+
+void
+NodeMemory::countUnreachable()
+{
+    if (!statUnreachableFaults_)
+        statUnreachableFaults_ = &stats_.counter("node_unreachable_faults");
+    (*statUnreachableFaults_)++;
 }
 
 mem::MemAccess
@@ -285,10 +299,7 @@ NodeMemory::leg(unsigned from, unsigned to, uint64_t start,
         // immediately. A typed fault either way, never a hang.
         acc.fault = Fault::NodeUnreachable;
         acc.completeCycle = d.cycle;
-        if (!statUnreachableFaults_)
-            statUnreachableFaults_ =
-                &stats_.counter("node_unreachable_faults");
-        (*statUnreachableFaults_)++;
+        countUnreachable();
         return false;
     }
     // A mangled request never parses at the home node: as lost as a

@@ -321,6 +321,10 @@ class NodeMemory : public mem::MemoryPort
     bool leg(unsigned from, unsigned to, uint64_t start,
              unsigned flits, Delivery &d, mem::MemAccess &acc);
 
+    /** Count one NodeUnreachable fault (registers the counter on the
+     * first one). */
+    void countUnreachable();
+
     unsigned node_;
     Mesh &mesh_;
     GlobalMemory &global_;

@@ -601,8 +601,8 @@ class Analyzer
     uint32_t iterations_ = 0;
     std::vector<Diag> diags_;
     /// Per-instruction union of every fault kind any diagnostic found
-    /// reachable there (filled by emit() during the record pass); the
-    /// complement becomes the elision verdict.
+    /// reachable there (filled by emit() during the record pass); an
+    /// empty union earns the elision verdict.
     std::vector<uint16_t> mayFaults_;
 };
 
@@ -1265,35 +1265,15 @@ Analyzer::run()
         transfer(i, in_[i]);
     }
 
-    // Elision verdicts: the complement of the recorded may-fault
-    // union. Any may-fact clears the corresponding safety bit, so
-    // everything downstream of an unresolvable JMP (havoc joins top
-    // into every state) degrades to no-elide automatically.
-    constexpr uint16_t perm_faults =
-        faultBit(Fault::NotAPointer) |
-        faultBit(Fault::InvalidPermission) |
-        faultBit(Fault::PermissionDenied) |
-        faultBit(Fault::Immutable) | faultBit(Fault::NotSubset) |
-        faultBit(Fault::NotSmaller) |
-        faultBit(Fault::PrivilegeViolation) |
-        faultBit(Fault::NotEnterPointer);
+    // Elision verdicts: an instruction with an empty recorded
+    // may-fault union can never fault. Any may-fact withholds the
+    // verdict, so everything downstream of an unresolvable JMP (havoc
+    // joins top into every state) degrades to no-elide automatically;
+    // an unreached instruction gets no proof either.
     res.verdicts.assign(progWords_, 0);
     for (uint32_t i = 0; i < progWords_; ++i) {
-        if (!reached_[i])
-            continue; // unreached: no proof, keep full checks
-        const uint16_t m = mayFaults_[i];
-        if (m & faultBit(Fault::InvalidInstruction))
-            continue; // tagged/undecodable word: nothing to elide
-        uint8_t v = 0;
-        if (!(m & faultBit(Fault::BoundsViolation)))
-            v |= isa::kElideBoundsSafe;
-        if (!(m & perm_faults))
-            v |= isa::kElidePermSafe;
-        if (!(m & faultBit(Fault::Misaligned)))
-            v |= isa::kElideAlignSafe;
-        if (m == 0)
-            v |= isa::kElideNeverFaults;
-        res.verdicts[i] = v;
+        if (reached_[i] && mayFaults_[i] == 0)
+            res.verdicts[i] = isa::kElideNeverFaults;
     }
 
     res.diags = std::move(diags_);

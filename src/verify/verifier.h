@@ -268,12 +268,11 @@ struct VerifyResult
     uint32_t iterations = 0;   //!< worklist pops until the fixpoint
 
     /**
-     * Per-instruction elision verdict byte (isa::kElide* bits): the
-     * complement of the union of every fault kind the record pass
-     * found reachable at that instruction. Unreached instructions and
-     * undecodable/tagged words get 0 (no proof). kElideNeverFaults is
-     * set only when *no* capability fault of any kind is reachable —
-     * the bit that licenses the machine's unchecked datapath.
+     * Per-instruction elision verdict byte: isa::kElideNeverFaults
+     * when the record pass found *no* fault of any kind reachable at
+     * that instruction — the bit that licenses the machine's
+     * unchecked datapath — else 0. Unreached instructions and
+     * undecodable/tagged words get 0 (no proof).
      */
     std::vector<uint8_t> verdicts;
 
@@ -323,9 +322,9 @@ VerifyResult verifyProgram(const isa::Assembly &assembly,
                            const VerifyOptions &opts = {});
 
 /**
- * Package a verification result as the machine-consumable proof
- * sidecar: verdict bytes bound to the exact instruction bits and the
- * load base / privilege mode they were established for. @param words
+ * Package a verification result as the machine-consumable proof:
+ * verdict bytes bound to the exact instruction bits and the load
+ * base / privilege mode they were established for. @param words
  * must be the image passed to verifyWords; @param privileged must
  * match the VerifyOptions the result came from, @param base the
  * address the image will be loaded at.

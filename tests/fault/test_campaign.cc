@@ -219,19 +219,6 @@ TEST(Campaign, DigestRepeatsAcrossRunAllCalls)
     EXPECT_NE(moved.campaignSignature(), first);
 }
 
-TEST(Campaign, DigestUnchangedByCheckElision)
-{
-    // The digest hashes outcomes and data-image signatures, never
-    // cycles, and elision changes neither.
-    CampaignConfig cc = digestConfig();
-    CampaignRunner off(cc);
-    cc.elideChecks = true;
-    CampaignRunner on(cc);
-    off.runAll();
-    on.runAll();
-    EXPECT_EQ(off.campaignSignature(), on.campaignSignature());
-}
-
 TEST(Campaign, EveryFaultSiteBelongsToExactlyOneArm)
 {
     for (unsigned i = 0; i < sim::kFaultSiteCount; ++i) {

@@ -46,15 +46,6 @@ TEST(PageTable, TranslateAddrDemandAllocates)
     EXPECT_EQ(pt.mappedPages(), 1u);
 }
 
-TEST(PageTable, TranslateAddrStrictMode)
-{
-    PageTable pt(4096);
-    pt.setAllocateOnTouch(false);
-    EXPECT_FALSE(pt.translateAddr(0x5123).has_value());
-    pt.map(pt.vpn(0x5123));
-    EXPECT_TRUE(pt.translateAddr(0x5123).has_value());
-}
-
 TEST(PageTable, UnmapRemovesTranslation)
 {
     PageTable pt(4096);
@@ -74,14 +65,6 @@ TEST(PageTable, UnmapBlocksDemandRemap)
     // Explicit re-map lifts the block.
     pt.map(pt.vpn(0x5000));
     EXPECT_TRUE(pt.translateAddr(0x5123).has_value());
-}
-
-TEST(PageTable, MapToAliasesFrames)
-{
-    PageTable pt(4096);
-    const uint64_t frame = pt.map(1);
-    pt.mapTo(2, frame);
-    EXPECT_EQ(pt.translate(2), frame);
 }
 
 TEST(PageTable, LargePages)

@@ -119,6 +119,25 @@ TEST_F(NodeMemoryTest, PermissionChecksIdenticalForRemote)
     EXPECT_EQ(mesh_.stats().get("messages"), 0u);
 }
 
+TEST_F(NodeMemoryTest, HomeOutsideTheMeshFaultsAtIssue)
+{
+    // The default mesh has 16 nodes; a pointer into home 40 passes
+    // the pointer check but names no node. Both a load and a store
+    // end at issue with the typed fault, before any network traffic.
+    const Word p = ptrOn(40, 0x1000);
+    const auto ld = node(0).load(p, 8, 100);
+    EXPECT_EQ(ld.fault, Fault::NodeUnreachable);
+    EXPECT_EQ(ld.startCycle, 100u);
+    EXPECT_EQ(ld.completeCycle, 100u);
+    const auto st = node(2).store(p, Word::fromInt(1), 8, 200);
+    EXPECT_EQ(st.fault, Fault::NodeUnreachable);
+    EXPECT_EQ(st.completeCycle, st.startCycle);
+    EXPECT_EQ(node(0).unreachableFaults(), 1u);
+    EXPECT_EQ(node(2).unreachableFaults(), 1u);
+    EXPECT_EQ(node(0).stats().get("access_faults"), 0u);
+    EXPECT_EQ(mesh_.stats().get("messages"), 0u);
+}
+
 TEST_F(NodeMemoryTest, CapabilitiesTravelAcrossNodes)
 {
     // Node 0 stores a capability into node 1's memory; node 2 loads

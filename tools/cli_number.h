@@ -56,31 +56,28 @@ badInput(const char *tool, const std::string &message)
 }
 
 /**
- * Parse the value @p text of command-line flag @p flag as an unsigned
- * integer no larger than @p max. base 10 takes decimal digits only;
- * base 0 also takes a 0x (hex) or leading-0 (octal) prefix. Unless the
- * whole string parses, print a one-line "<tool>: bad value for <flag>"
- * message and exit with status 2.
+ * Parse the value @p text of command-line flag @p flag as a decimal
+ * unsigned integer no larger than @p max. Unless the whole string
+ * parses, print a one-line "<tool>: bad value for <flag>" message and
+ * exit with status 2.
  */
 inline uint64_t
 numberArg(const char *tool, const char *flag, const std::string &text,
-          uint64_t max = UINT64_MAX, int base = 10)
+          uint64_t max = UINT64_MAX)
 {
     // strtoull would skip whitespace and accept a sign; demand a digit.
     if (!text.empty() && std::isdigit(static_cast<unsigned char>(text[0]))) {
         errno = 0;
         char *end = nullptr;
         const unsigned long long v =
-            std::strtoull(text.c_str(), &end, base);
+            std::strtoull(text.c_str(), &end, 10);
         if (errno != ERANGE && end == text.c_str() + text.size() &&
             v <= max)
             return uint64_t(v);
     }
     badInput(tool, std::string("bad value for ") + flag + ": '" + text +
-                       "' (want a" +
-                       (base == 0 ? " decimal, 0x-hex or 0-octal"
-                                  : " decimal") +
-                       " integer in [0, " + std::to_string(max) + "])");
+                       "' (want a decimal integer in [0, " +
+                       std::to_string(max) + "])");
 }
 
 /**

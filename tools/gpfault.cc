@@ -14,7 +14,7 @@
  *           [--ecc=off|parity|secded] [--walk-retries N]
  *           [--rate SITE=R]... [--burst-max-bits N]
  *           [--watchdog-cycles N] [--stats-json=FILE]
- *           [--elide-checks] [--verbose] [--list-sites]
+ *           [--verbose] [--list-sites]
  *           [--expect-zero-sdc] [--expect-detected]
  *
  * The --expect-* flags turn the driver into a CI tripwire: the
@@ -97,10 +97,6 @@ usage(const char *argv0)
         "  --walk-retries N   transient page-walk retries (default 0)\n"
         "  --burst-max-bits N max bits per cache-line burst (default 4)\n"
         "  --watchdog-cycles N  per-run hang budget (default 300000)\n"
-        "  --elide-checks     arm verifier-driven check elision; the\n"
-        "                     outcome table must match the elide-off\n"
-        "                     campaign bit for bit (injected runs\n"
-        "                     auto-disable elision)\n"
         "mesh campaign (multi-node fail-stop resilience):\n"
         "  --mesh X,Y,Z       run the mesh campaign on an XxYxZ mesh\n"
         "                     (at most 64 nodes)\n"
@@ -182,12 +178,6 @@ parseArgs(int argc, char **argv, Options &opts, bool &exitEarly)
         }
         if (arg == "--expect-detected") {
             opts.expectDetected = true;
-            continue;
-        }
-        if (arg == "--elide-checks" ||
-            arg == "--elide-checks=verified") {
-            opts.campaign.elideChecks = true;
-            opts.singleFlag = "--elide-checks";
             continue;
         }
         if (valueOf("--runs", value)) {
@@ -419,12 +409,11 @@ main(int argc, char **argv)
         },
         [&cc](const fault::CampaignTotals &t) {
             std::printf("gpfault: %llu runs, %llu injections, ecc=%s, "
-                        "walk-retries=%u%s, golden=%llu cycles\n",
+                        "walk-retries=%u, golden=%llu cycles\n",
                         (unsigned long long)t.runs,
                         (unsigned long long)t.totalInjections,
                         std::string(mem::eccModeName(cc.ecc)).c_str(),
                         cc.walkRetries,
-                        cc.elideChecks ? ", elide-checks" : "",
                         (unsigned long long)t.goldenCycles);
         });
 }

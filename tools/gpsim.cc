@@ -41,7 +41,6 @@
 #include "cli_number.h"
 #include "gp/ops.h"
 #include "isa/assembler.h"
-#include "isa/elide.h"
 #include "isa/loader.h"
 #include "mem/ecc.h"
 #include "noc/shard.h"
@@ -84,8 +83,7 @@ struct Options
     std::string statsJson;        //!< stats JSON export path
     bool verify = false;          //!< run gpverify before executing
     bool verifyStrict = false;    //!< ... and make warnings fatal
-    bool elideChecks = false;     //!< skip verifier-proven checks
-    std::string proofsFile;       //!< gpproof sidecar ("" = verify here)
+    bool elide = false;           //!< skip verifier-proven checks
     bool profile = false;         //!< arm the cycle profiler
     sim::ProfileConfig profileConfig; //!< aggregation modes
     std::string profileOut;       //!< gpprof JSON export path
@@ -136,11 +134,7 @@ usage(const char *argv0)
         "  --elide-checks=verified  skip runtime checks the verifier\n"
         "                   proves can never fire (identical\n"
         "                   architectural outcomes, fewer cycles);\n"
-        "                   the proof is always derived at load\n"
-        "  --proofs=FILE    gpproof sidecar from gpverify\n"
-        "                   --emit-proofs, checked against the derived\n"
-        "                   proof; a mismatch exits 2 before anything\n"
-        "                   runs (requires --elide-checks)\n"
+        "                   the proof is derived at load\n"
         "  --trace[=CATS]   structured event trace to stdout; CATS is\n"
         "                   'all' or a comma list of exec,mem,cache,\n"
         "                   tlb,fault,gate,noc,sched (default exec)\n"
@@ -187,17 +181,13 @@ parseArgs(int argc, char **argv, Options &opts)
         }
         if (arg == "--elide-checks" ||
             arg == "--elide-checks=verified") {
-            opts.elideChecks = true;
+            opts.elide = true;
             continue;
         }
         if (arg.rfind("--elide-checks=", 0) == 0)
             badInput("gpsim", "bad --elide-checks mode: " +
                                   arg.substr(15) +
                                   " (only 'verified' is supported)");
-        if (valueOf("--proofs", value)) {
-            opts.proofsFile = value;
-            continue;
-        }
         if (arg == "--trace" || arg.rfind("--trace=", 0) == 0) {
             const std::string spec =
                 arg == "--trace" ? "exec" : arg.substr(8);
@@ -327,8 +317,6 @@ validateOptions(const Options &opts)
                " exceeds the " + std::to_string(slots) +
                " hardware thread slots of " +
                std::to_string(opts.clusters) + " cluster(s)";
-    if (!opts.proofsFile.empty() && !opts.elideChecks)
-        return "--proofs requires --elide-checks";
     if (opts.profileIntervalSet && !opts.profile)
         return "--profile-interval requires --profile";
     if (opts.epochHorizon != 0 && !opts.mesh)
@@ -341,7 +329,7 @@ validateOptions(const Options &opts)
     if (opts.mesh && opts.profileIntervalSet)
         return "--profile-interval snapshots are per-machine and not "
                "mesh-aware; drop --profile-interval";
-    if (opts.mesh && opts.elideChecks)
+    if (opts.mesh && opts.elide)
         return "--elide-checks is single-machine: a store by one node "
                "into another node's verified image drops only the "
                "issuing machine's proofs, so the home node would keep "
@@ -364,29 +352,6 @@ readInput(const std::string &path, std::string &out)
     }
     out = ss.str();
     return true;
-}
-
-/**
- * Check a gpproof sidecar against the proof derived in-process: the
- * instruction bits and verdicts must match (the load base is
- * ignored; the sidecar records gpverify's --base). @return "" on a
- * match, else a one-line reason.
- */
-std::string
-sidecarMismatch(const std::string &path, const isa::ElideProof &derived)
-{
-    std::string text;
-    if (!readInput(path, text))
-        return "cannot read proof sidecar " + path;
-    isa::ElideProof claimed;
-    std::string perr;
-    if (!isa::parseProof(text, claimed, &perr))
-        return "bad proof sidecar " + path + ": " + perr;
-    if (claimed.bits != derived.bits ||
-        claimed.verdicts != derived.verdicts)
-        return "proof sidecar " + path +
-               " does not match the proof derived from the program";
-    return "";
 }
 
 /**
@@ -484,20 +449,11 @@ loadAndSpawn(System &sys, const Options &opts,
     auto prog = kernel.loadAssembly(source, opts.privileged);
     if (!prog)
         return threads;
-    if (opts.elideChecks) {
-        // No check is skipped unless it was proven in this process,
-        // under the entry state the spawn loop below sets up. A
-        // sidecar is only a claim, checked against the derived proof.
-        const isa::ElideProof proof = verify::makeElideProof(
-            vres, assembly.words, opts.privileged, prog.value.base);
-        if (!opts.proofsFile.empty()) {
-            const std::string err =
-                sidecarMismatch(opts.proofsFile, proof);
-            if (!err.empty())
-                badInput("gpsim", err);
-        }
-        kernel.machine().registerElideProof(proof);
-    }
+    // No check is skipped unless it was proven in this process, under
+    // the entry state the spawn loop below sets up.
+    if (opts.elide)
+        kernel.machine().registerElideProof(verify::makeElideProof(
+            vres, assembly.words, opts.privileged, prog.value.base));
     for (unsigned i = 0; i < opts.threads; ++i) {
         auto seg = kernel.segments().allocate(opts.dataBytes,
                                               Perm::ReadWrite);
@@ -573,7 +529,7 @@ main(int argc, char **argv)
     // integer. --verify refuses an unsafe program before a single
     // instruction executes; --elide-checks derives its proof here.
     verify::VerifyResult vres;
-    if (opts.verify || opts.elideChecks) {
+    if (opts.verify || opts.elide) {
         verify::VerifyOptions vopts;
         vopts.privileged = opts.privileged;
         vopts.entryRegs = verify::defaultEntryRegs(
@@ -672,7 +628,7 @@ main(int argc, char **argv)
     if (sys.mesh)
         std::printf("gpsim: mesh signature %016llx\n",
                     (unsigned long long)sys.mesh->signature());
-    if (opts.elideChecks) {
+    if (opts.elide) {
         sim::StatGroup &ms = sys.machine(0).stats();
         std::printf("gpsim: elide: %llu checks elided, %llu executed, "
                     "%llu cycles saved\n",

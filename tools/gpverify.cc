@@ -14,7 +14,6 @@
  *
  * Usage:
  *   gpverify prog.s [--strict] [--privileged] [--data BYTES] [--quiet]
- *                   [--emit-proofs FILE] [--base ADDR]
  */
 
 #include <cstdio>
@@ -25,7 +24,6 @@
 
 #include "cli_number.h"
 #include "isa/assembler.h"
-#include "isa/elide.h"
 #include "verify/verifier.h"
 
 using namespace gp;
@@ -40,8 +38,6 @@ struct Options
     bool privileged = false; //!< analyze as privileged code
     bool quiet = false;      //!< suppress the diagnostic report
     uint64_t dataBytes = 4096;
-    std::string emitProofs;  //!< elision-proof sidecar path ("" = off)
-    uint64_t base = 0;       //!< load base recorded in the sidecar
 };
 
 void
@@ -55,12 +51,7 @@ usage(const char *argv0)
         "  --data BYTES   size of the r1 data segment assumed at entry "
         "(default 4096)\n"
         "  --quiet        suppress the diagnostic report (the exit\n"
-        "                 status still reflects the verdict)\n"
-        "  --emit-proofs FILE  write the per-instruction elision\n"
-        "                 verdict bitmap as a versioned 'gpproof'\n"
-        "                 sidecar (consumed by gpsim --elide-checks)\n"
-        "  --base ADDR    load base recorded in the sidecar (default 0;\n"
-        "                 consumers rebase to the actual load address)\n",
+        "                 status still reflects the verdict)\n",
         argv0);
 }
 
@@ -82,17 +73,6 @@ parseArgs(int argc, char **argv, Options &opts)
             if (i + 1 >= argc)
                 return false;
             opts.dataBytes = numberArg("gpverify", "--data", argv[++i]);
-        } else if (arg == "--emit-proofs") {
-            if (i + 1 >= argc)
-                return false;
-            opts.emitProofs = argv[++i];
-        } else if (arg.rfind("--emit-proofs=", 0) == 0) {
-            opts.emitProofs = arg.substr(14);
-        } else if (arg == "--base") {
-            if (i + 1 >= argc)
-                return false;
-            opts.base =
-                numberArg("gpverify", "--base", argv[++i], UINT64_MAX, 0);
         } else {
             std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
             return false;
@@ -142,21 +122,6 @@ main(int argc, char **argv)
 
     const verify::VerifyResult result =
         verify::verifyProgram(assembly, vopts);
-
-    if (!opts.emitProofs.empty()) {
-        // Export the elision verdicts even for a failing program: a
-        // may-fault instruction simply carries verdict 0, so the
-        // sidecar is conservative by construction.
-        const isa::ElideProof proof = verify::makeElideProof(
-            result, assembly.words, opts.privileged, opts.base);
-        std::ofstream out(opts.emitProofs, std::ios::trunc);
-        if (!out) {
-            std::fprintf(stderr, "gpverify: cannot open %s\n",
-                         opts.emitProofs.c_str());
-            return 2;
-        }
-        out << isa::serializeProof(proof);
-    }
 
     const bool fail =
         opts.strict ? !result.clean() : !result.ok();

@@ -56,12 +56,12 @@ if [ -n "$profviol" ]; then
     exit 1
 fi
 
-# Check-elision discipline (docs/VERIFIER.md, "Proof export & check
-# elision"): the proof sidecar is consulted exactly once per static
-# instruction, on a predecode miss, where its verdict byte is baked
+# Check-elision discipline (docs/VERIFIER.md, "Check elision"): the
+# registered proofs are consulted exactly once per static
+# instruction, on a predecode miss, where the verdict byte is baked
 # into the cache slot. The per-executed-instruction hot loop must
-# never scan the proof tables — a sidecar walk per retired
-# instruction would hand back the very cycles elision exists to save.
+# never scan the proof tables — a proof walk per retired instruction
+# would hand back the very cycles elision exists to save.
 # Blessed patterns: the proofVerdict() definition and declaration,
 # the registration/clear/cold-guard accessors, the definition's own
 # scan loop, and the single `? proofVerdict(...)` miss-path consult.
@@ -76,7 +76,7 @@ elideviol=$(grep -rnE '(proofVerdict|elideProofs_)' $dirs \
             | grep -vE '\? proofVerdict\(' || true)
 
 if [ -n "$elideviol" ]; then
-    echo "lint_hot_counters: proof-sidecar consultation outside the predecode-miss path:" >&2
+    echo "lint_hot_counters: proof-table consultation outside the predecode-miss path:" >&2
     echo "$elideviol" >&2
     echo >&2
     echo "Elision verdicts are baked into the predecode slot on a" >&2

@@ -144,7 +144,7 @@ MeshCampaignRunner::execute(const uint64_t *runSeed)
     r.downLinks = shard.mesh().downLinkCount();
     r.detours = shard.mesh().detourCount();
     r.meshWatchdog = shard.meshWatchdogTripped();
-    const bool hung = r.meshWatchdog || !shard.allDone();
+    r.hung = r.meshWatchdog || !shard.allDone();
 
     // Per-node result signatures: the final result vector (tags
     // included) plus a clean-completion bit. Deliberately NO cycle
@@ -196,7 +196,7 @@ MeshCampaignRunner::execute(const uint64_t *runSeed)
 
     // Precedence: hang > detected > sdc > degraded > masked. Total
     // mesh death counts as detected — fail-stop IS detection.
-    if (hung)
+    if (r.hung)
         r.outcome = MeshOutcome::Hang;
     else if (shard.survivors() == 0 || survivorFaulted)
         r.outcome = MeshOutcome::DetectedFault;

@@ -130,6 +130,9 @@ struct MeshRunResult
     uint64_t survivorsWrong = 0;
     Fault firstFault = Fault::None; //!< first fault any survivor took
     bool meshWatchdog = false;      //!< distributed watchdog tripped
+    /** Not every live thread halted or faulted within maxCycles, or
+     * the distributed watchdog tripped. */
+    bool hung = false;
     /** Per-node result signatures (a placeholder for a dead node). */
     std::vector<uint64_t> nodeSignatures;
 };
@@ -182,6 +185,13 @@ class MeshCampaignRunner
         : CampaignEngine("mesh_campaign"), config_(config)
     {
     }
+
+    /**
+     * @return true when the failure-free run halts within maxCycles
+     * (runs it if it has not run yet). Without that, there is no
+     * golden result and every injected run would class as a hang.
+     */
+    bool goldenHalts() { return !golden().hung; }
 
     /** Per-node golden signatures (failure-free run; lazy). */
     const std::vector<uint64_t> &

@@ -117,7 +117,8 @@ Machine::Machine(const MachineConfig &config)
       ownedMem_(std::make_unique<mem::MemorySystem>(config.mem)),
       port_(ownedMem_.get()),
       threads_(size_t(config.clusters) * config.threadsPerCluster),
-      rrNext_(config.clusters, 0)
+      rrNext_(config.clusters, 0),
+      idle_(config.clusters)
 {
     if (config_.clusters == 0 || config_.threadsPerCluster == 0)
         sim::fatal("machine needs at least one cluster and thread slot");
@@ -139,7 +140,8 @@ Machine::Machine(const MachineConfig &config, mem::MemoryPort &port)
     : config_(config),
       port_(&port),
       threads_(size_t(config.clusters) * config.threadsPerCluster),
-      rrNext_(config.clusters, 0)
+      rrNext_(config.clusters, 0),
+      idle_(config.clusters)
 {
     if (config_.clusters == 0 || config_.threadsPerCluster == 0)
         sim::fatal("machine needs at least one cluster and thread slot");
@@ -286,6 +288,7 @@ Machine::spawnOnCluster(unsigned cluster, Word entry_ip)
             t.state() == ThreadState::Halted ||
             t.state() == ThreadState::Faulted) {
             t.start(entry_ip, nextThreadId_++);
+            threadsChanged();
             (*threadsSpawned_)++;
             return &t;
         }
@@ -375,7 +378,7 @@ void
 Machine::tripWatchdog(const char *why)
 {
     watchdogTripped_ = true;
-    readyMayHaveShrunk_ = true;
+    threadsChanged();
     (*watchdogTrips_)++;
     GP_TRACE(Fault, cycle_, 0, "watchdog", "%s cycle=%llu", why,
              static_cast<unsigned long long>(cycle_));
@@ -434,9 +437,12 @@ Machine::run(uint64_t max_cycles)
     // cycle: a running machine only *becomes* done in a cycle where
     // some thread leaves the Ready state (halt, fault, watchdog — or
     // anything a software fault handler did while it had control).
-    // Those paths set readyMayHaveShrunk_, so the scan re-runs only
+    // Those paths call threadsChanged(), so the scan re-runs only
     // after such a cycle. not-Ready -> Ready transitions can only
-    // keep the machine running and never need a re-check.
+    // keep the machine running and never need a re-check. Threads
+    // changed through threads() since the last run are why every
+    // cluster rescans first.
+    threadsChanged();
     bool done = allDone();
     while (!done && cycle_ - start < max_cycles) {
         readyMayHaveShrunk_ = false;
@@ -453,30 +459,45 @@ Machine::run(uint64_t max_cycles)
 void
 Machine::stepCluster(unsigned cluster)
 {
-    // Round-robin over the cluster's thread slots: issue up to
-    // issueWidth instructions, each from a distinct ready thread.
-    // This is the zero-cost context switch — no protection state is
-    // touched between threads.
     const unsigned nslots = config_.threadsPerCluster;
-    const unsigned base = cluster * nslots;
-    unsigned issued = 0;
-    bool any_ready = false; // for idle attribution, tracked in-scan
-    for (unsigned i = 0;
-         i < nslots && issued < config_.issueWidth;
-         ++i) {
-        // rrNext_ and i are both < nslots, so the wrap is a single
-        // compare/subtract — no integer division on the per-cycle
-        // scheduling path.
-        unsigned slot = rrNext_[cluster] + i;
-        if (slot >= nslots)
-            slot -= nslots;
-        Thread &t = threads_[base + slot];
-        if (t.state() != ThreadState::Ready)
-            continue;
-        any_ready = true;
-        if (t.stallUntil() <= cycle_) {
-            // Consecutive issues from different threads are the paper's
-            // zero-cost protection-domain switches — count them.
+    const unsigned rr = rrNext_[cluster];
+    rrNext_[cluster] = rr + 1 == nslots ? 0 : rr + 1;
+    IdleCluster &idle = idle_[cluster];
+    if (idle.wake <= cycle_) {
+        // Round-robin over the cluster's thread slots: issue up to
+        // issueWidth instructions, each from a distinct ready thread.
+        // This is the zero-cost context switch — no protection state
+        // is touched between threads.
+        const unsigned base = cluster * nslots;
+        unsigned issued = 0;
+        bool any_ready = false;
+        uint64_t soonest = UINT64_MAX;
+        unsigned blocking = 0;
+        for (unsigned i = 0;
+             i < nslots && issued < config_.issueWidth;
+             ++i) {
+            // rr and i are both < nslots, so the wrap is a single
+            // compare/subtract — no integer division on the
+            // per-cycle scheduling path.
+            unsigned slot = rr + i;
+            if (slot >= nslots)
+                slot -= nslots;
+            Thread &t = threads_[base + slot];
+            if (t.state() != ThreadState::Ready)
+                continue;
+            any_ready = true;
+            const uint64_t until = t.stallUntil();
+            if (until > cycle_) {
+                if (until < soonest ||
+                    (until == soonest && slot < blocking)) {
+                    soonest = until;
+                    blocking = slot;
+                }
+                continue;
+            }
+            // Consecutive issues from different threads are the
+            // paper's zero-cost protection-domain switches — count
+            // them.
             if (lastIssuedId_[cluster] != UINT32_MAX &&
                 lastIssuedId_[cluster] != t.id()) {
                 (*domainSwitches_)++;
@@ -488,45 +509,30 @@ Machine::stepCluster(unsigned cluster)
             // issueThread so the new instruction's record (and its
             // protection domain) is already open.
             if (sim::Profiler::armed() && issued == 0)
-                sim::Profiler::instance().attrIssue(
-                    profSlot(t));
+                sim::Profiler::instance().attrIssue(profSlot(t));
             issued++;
         }
+        if (issued != 0)
+            return;
+        // Nothing issued, so the scan saw every Ready thread: none
+        // can issue before the soonest of their stalls ends.
+        idle = {soonest, base + blocking, any_ready};
     }
-    rrNext_[cluster] = rrNext_[cluster] + 1 == nslots
-                           ? 0
-                           : rrNext_[cluster] + 1;
-    if (issued == 0) {
-        (*idleClusterCycles_)++;
-        // Attribute the idle cycle: live threads all stalled on memory
-        // or trap latency, vs. no runnable thread in the cluster.
-        // any_ready was collected by the (complete, since nothing
-        // issued) scan above — no second pass over the slots.
-        if (any_ready)
-            (*stalledClusterCycles_)++;
+    // An idle cycle: live threads all stalled on memory or trap
+    // latency, or no runnable thread in the cluster.
+    (*idleClusterCycles_)++;
+    if (idle.stalled)
+        (*stalledClusterCycles_)++;
+    else
+        (*emptyClusterCycles_)++;
+    if (sim::Profiler::armed()) {
+        // A stall is charged to whatever the blocking thread is
+        // waiting on.
+        if (idle.stalled)
+            sim::Profiler::instance().attrStall(
+                profSlotBase_ + idle.blocking, cycle_);
         else
-            (*emptyClusterCycles_)++;
-        if (sim::Profiler::armed()) {
-            if (!any_ready) {
-                sim::Profiler::instance().attrEmpty();
-            } else {
-                // Charge the stall to whatever the *blocking* thread
-                // (the Ready thread that will unstall first) is
-                // waiting on. Armed-only second pass over the slots.
-                unsigned blocking = base;
-                uint64_t soonest = UINT64_MAX;
-                for (unsigned s = 0; s < nslots; ++s) {
-                    const Thread &bt = threads_[base + s];
-                    if (bt.state() == ThreadState::Ready &&
-                        bt.stallUntil() < soonest) {
-                        soonest = bt.stallUntil();
-                        blocking = base + s;
-                    }
-                }
-                sim::Profiler::instance().attrStall(
-                    profSlotBase_ + blocking, cycle_);
-            }
-        }
+            sim::Profiler::instance().attrEmpty();
     }
 }
 
@@ -534,8 +540,8 @@ void
 Machine::faultThread(Thread &thread, Fault f)
 {
     // The thread leaves Ready here, and the software handler below
-    // may halt/fault arbitrary threads while it has control.
-    readyMayHaveShrunk_ = true;
+    // may change arbitrary threads while it has control.
+    threadsChanged();
     thread.takeFault(f, cycle_);
     faultLog_.push_back(thread.faultRecord());
     (*faults_)++;
@@ -630,7 +636,7 @@ Machine::issueThread(Thread &thread)
         // Cross-shard fetch under the epoch engine: park the thread
         // until the barrier delivers the fetched word, then resume
         // through finishFetch() as if the fetch had just returned.
-        readyMayHaveShrunk_ = true;
+        threadsChanged();
         thread.park();
         deferred_.push_back(
             {f.ticket, uint32_t(&thread - threads_.data()),
@@ -794,7 +800,7 @@ Machine::memoryOp(Thread &thread, const PredecodedInst &slot,
     if (acc.deferred) {
         // Cross-shard access: the pointer check already ran above;
         // park until the barrier delivers data and timing.
-        readyMayHaveShrunk_ = true;
+        threadsChanged();
         thread.park();
         deferred_.push_back(
             {acc.ticket, uint32_t(&thread - threads_.data()),
@@ -886,7 +892,7 @@ Machine::execute(Thread &thread, const PredecodedInst &slot,
       case Op::HALT:
         thread.retire();
         thread.halt();
-        readyMayHaveShrunk_ = true;
+        threadsChanged();
         if (sim::Profiler::armed())
             sim::Profiler::instance().endInst(
                 profSlot(thread), ready_at + 1,
@@ -1159,6 +1165,7 @@ Machine::completeDeferred(uint64_t ticket, const mem::MemAccess &acc)
         return;
     }
     thread.unpark();
+    threadsChanged();
     lastIssueCycle_ = cycle_; // a completion is progress, too
 
     if (rec.kind == DeferredKind::Fetch) {

@@ -190,6 +190,23 @@ class Machine
      */
     void setProfileSlotBase(unsigned base) { profSlotBase_ = base; }
 
+    /**
+     * Some thread's state or stall changed: a Ready thread may have
+     * left the Ready state, and no cluster's wake cycle can be trusted
+     * any more. Every path inside the machine that changes a thread
+     * calls it (spawn, halt, park and unpark, faults and the software
+     * handler, the watchdog), and run() and ShardedMesh::run() call it
+     * on entry. Code that changes a thread through threads() and then
+     * steps the machine with step() must call it first.
+     */
+    void
+    threadsChanged()
+    {
+        readyMayHaveShrunk_ = true;
+        for (IdleCluster &c : idle_)
+            c.wake = 0;
+    }
+
     /** @return true once either watchdog has fired. */
     bool watchdogTripped() const { return watchdogTripped_; }
 
@@ -460,10 +477,30 @@ class Machine
     uint32_t nextThreadId_ = 0;
     unsigned profSlotBase_ = 0; //!< see setProfileSlotBase()
     bool watchdogTripped_ = false;
-    /// Set by any path in which a thread may leave the Ready state
-    /// (halt, fault, watchdog, software fault handler); run() only
-    /// re-scans allDone() after a cycle that set it.
+    /// Set by threadsChanged(); run() only re-scans allDone() after
+    /// a cycle that set it.
     bool readyMayHaveShrunk_ = true;
+
+    /**
+     * What a cluster's last scan learned when nothing issued. Until
+     * cycle `wake` no thread of the cluster can issue, because only
+     * threadsChanged() can change one, and it resets `wake`; so the
+     * cluster costs one compare and the idle bookkeeping instead of a
+     * rescan of its slots. The modelled MAP hides this latency by
+     * interleaving threads; the simulator should not pay for it
+     * either.
+     */
+    struct IdleCluster
+    {
+        /// Earliest stallUntil of a Ready thread (UINT64_MAX: none
+        /// will wake by itself); 0 forces a scan.
+        uint64_t wake = 0;
+        /// The thread the profiler charges a stalled cycle to: the
+        /// Ready thread that unstalls first, lowest slot on a tie.
+        unsigned blocking = 0;
+        bool stalled = false; //!< some thread is Ready (else empty)
+    };
+    std::vector<IdleCluster> idle_; //!< per cluster
     uint64_t lastIssueCycle_ = 0; //!< for the quiescence watchdog
     std::vector<FaultRecord> faultLog_;
     FaultHandler faultHandler_;

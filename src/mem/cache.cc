@@ -78,7 +78,8 @@ Cache::findLine(unsigned bank, unsigned set, uint64_t line_addr,
 }
 
 CacheResult
-Cache::access(uint64_t vaddr, bool is_write, uint16_t asid)
+Cache::access(uint64_t vaddr, bool is_write, uint16_t asid,
+              uint64_t frame)
 {
     unsigned bank, set;
     uint64_t line_addr;
@@ -124,22 +125,24 @@ Cache::access(uint64_t vaddr, bool is_write, uint16_t asid)
     victim->lineAddr = line_addr;
     victim->asid = asid;
     victim->lruStamp = stamp_;
+    victim->frame = frame;
     return result;
 }
 
 bool
-Cache::accessHit(uint64_t vaddr, bool is_write, uint16_t asid)
+Cache::accessHit(uint64_t vaddr, bool is_write, uint64_t &frame)
 {
     unsigned bank, set;
     uint64_t line_addr;
     locate(vaddr, bank, set, line_addr);
-    Line *line = findLine(bank, set, line_addr, asid);
+    Line *line = findLine(bank, set, line_addr, 0);
     if (!line)
         return false;
     stamp_++;
     line->lruStamp = stamp_;
     line->dirty = line->dirty || is_write;
     (*hits_)++;
+    frame = line->frame;
     return true;
 }
 

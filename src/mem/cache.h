@@ -5,7 +5,8 @@
  * Models the MAP chip's on-chip cache (Fig. 5): the array is interleaved
  * across banks by low line-address bits so the four clusters can access
  * distinct banks in the same cycle; lines are tagged with virtual
- * addresses so no translation happens on a hit.
+ * addresses so no translation happens on a hit: each line records the
+ * physical frame its filler passed, and a hit returns it.
  *
  * Lines optionally carry an ASID so the §5.1 baselines can demonstrate
  * why ASID-tagged virtual caches cannot share data in-cache (synonyms):
@@ -76,21 +77,33 @@ class Cache
 
     /**
      * Perform one access: on hit, update LRU (and dirty on writes); on
-     * miss, choose a victim, install the line, and report any dirty
-     * writeback. Purely behavioural — data lives in TaggedMemory.
+     * miss, choose a victim, install the line with @p frame as its
+     * physical frame, and report any dirty writeback. Purely
+     * behavioural — data lives in TaggedMemory.
      */
-    CacheResult access(uint64_t vaddr, bool is_write, uint16_t asid = 0);
+    CacheResult access(uint64_t vaddr, bool is_write, uint16_t asid = 0,
+                       uint64_t frame = 0);
 
     /**
-     * Hot-path hit probe+update in one tag search: if the line is
-     * resident, perform exactly the hit half of access() (LRU stamp,
-     * dirty bit, hit counter) and return true; otherwise change
+     * Hot-path hit probe+update in one tag search (ASID 0, the
+     * guarded configuration's): if the line is resident, perform
+     * exactly the hit half of access() (LRU stamp, dirty bit, hit
+     * counter), set @p frame to the frame recorded when the line was
+     * filled, and return true; otherwise change
      * nothing — no install, no stamp advance, no miss counted — and
      * return false. Equivalent to `probe() && access().hit` at half
      * the tag-search cost; the caller runs access() afterwards for
      * the fill if (and only if) the miss path succeeds.
      */
-    bool accessHit(uint64_t vaddr, bool is_write, uint16_t asid = 0);
+    bool accessHit(uint64_t vaddr, bool is_write, uint64_t &frame);
+
+    /** accessHit() for a caller that does not need the frame. */
+    bool
+    accessHit(uint64_t vaddr, bool is_write)
+    {
+        uint64_t frame;
+        return accessHit(vaddr, is_write, frame);
+    }
 
     /** @return true if the line holding vaddr is resident (no LRU touch). */
     bool probe(uint64_t vaddr, uint16_t asid = 0) const;
@@ -118,14 +131,18 @@ class Cache
     sim::StatGroup &stats() { return stats_; }
 
   private:
+    /// 32 bytes: MemConfig's default 4096-line array is 128 KiB per
+    /// cache, and a 64-node mesh holds 64 of them.
     struct Line
     {
+        uint64_t lineAddr = 0; //!< vaddr >> log2(lineBytes)
+        uint64_t lruStamp = 0;
+        uint64_t frame = 0;    //!< physical frame passed at fill
+        uint16_t asid = 0;
         bool valid = false;
         bool dirty = false;
-        uint64_t lineAddr = 0; //!< vaddr >> log2(lineBytes)
-        uint16_t asid = 0;
-        uint64_t lruStamp = 0;
     };
+    static_assert(sizeof(Line) == 32, "keep a cache line 32 bytes");
 
     /** Map a byte address to (bank, set, lineAddr). */
     void locate(uint64_t vaddr, unsigned &bank, unsigned &set,

@@ -19,7 +19,7 @@ FastPort::access(Word ptr, gp::Access kind, unsigned size, uint64_t now,
     // Functional translation with demand allocation — identical
     // mapping behaviour to the timed miss path, including the
     // UnmappedAddress fault for revoked (unmapped + blocked) pages.
-    auto pa = mem_.pageTable().translateAddr(ptr.addr());
+    auto pa = mem_.translateAddr(ptr.addr());
     if (!pa) {
         acc.fault = Fault::UnmappedAddress;
         return acc;

@@ -103,16 +103,16 @@ MemorySystem::timedAccess(Word ptr, Access kind, unsigned size,
     // One tag search resolves the hit case (probe+update combined);
     // the fill install below runs only when the miss path succeeds,
     // so fault paths leave the array untouched, exactly as before.
-    if (cache_.accessHit(vaddr, is_write)) {
+    uint64_t frame;
+    if (cache_.accessHit(vaddr, is_write, frame)) {
         acc.cacheHit = true;
         acc.completeCycle = t;
-        // Functional translation (simulator-internal; a real virtual
-        // cache holds the data, so no architectural translation here).
-        auto pa = pageTable_.translateAddr(vaddr);
-        if (!pa)
-            sim::panic("cached line for unmapped page at 0x%llx",
-                       static_cast<unsigned long long>(vaddr));
-        paddr = *pa;
+        // The data lives in physical memory, at the frame the line
+        // recorded at fill: a hit does no translation, as in the
+        // modelled virtual cache. Only unmapRange() takes a frame
+        // away, and it invalidates the page's lines first.
+        paddr = (frame << pageTable_.pageShift()) |
+                (vaddr & (pageTable_.pageBytes() - 1));
         (*hits_)++;
         GP_TRACE(Cache, now, bank, "hit", "vaddr=0x%llx",
                  static_cast<unsigned long long>(vaddr));
@@ -174,11 +174,20 @@ MemorySystem::timedAccess(Word ptr, Access kind, unsigned size,
             return acc;
         }
         pfn = *pa >> pageTable_.pageShift();
+        frame = *pfn;
         tlb_.insert(vpn, *pfn);
         GP_TRACE(TLB, now, bank, "walk", "vpn=0x%llx pfn=0x%llx",
                  static_cast<unsigned long long>(vpn),
                  static_cast<unsigned long long>(*pfn));
     } else {
+        // The line records the page table's frame, not the TLB's: a
+        // corrupted TLB entry misdirects only the access that used
+        // it, never the hits on the line it filled.
+        auto pa = pageTable_.translateAddr(vaddr);
+        if (!pa)
+            sim::panic("LTLB holds unmapped page 0x%llx",
+                       static_cast<unsigned long long>(vpn));
+        frame = *pa >> pageTable_.pageShift();
         GP_TRACE(TLB, now, bank, "hit", "vpn=0x%llx",
                  static_cast<unsigned long long>(vpn));
     }
@@ -187,7 +196,7 @@ MemorySystem::timedAccess(Word ptr, Access kind, unsigned size,
 
     // Line fill (and any dirty writeback) over the single external
     // memory interface.
-    const CacheResult cr = cache_.access(vaddr, is_write);
+    const CacheResult cr = cache_.access(vaddr, is_write, 0, frame);
     const uint64_t ext_start = std::max(t, extBusyUntil_);
     if (ext_start > t)
         (*extPortStalls_) += ext_start - t;
@@ -311,6 +320,12 @@ MemorySystem::tryPeekWord(uint64_t vaddr) const
     const uint64_t pa = (*pfn << pageTable_.pageShift()) |
                         (vaddr & (pageTable_.pageBytes() - 1));
     return phys_.readWord(pa);
+}
+
+std::optional<uint64_t>
+MemorySystem::translateAddr(uint64_t vaddr)
+{
+    return pageTable_.translateAddr(vaddr);
 }
 
 Word

@@ -149,6 +149,15 @@ class MemorySystem : public MemoryPort
     /** Re-enable a previously unmapped range (relocation complete). */
     void mapRange(uint64_t base, uint64_t bytes);
 
+    /**
+     * Untimed functional translation of a virtual byte address, mapping
+     * the page on demand unless it was unmapped; nullopt for an
+     * unmapped page. The page table itself is read-only from outside:
+     * unmapRange() is the only way to unmap a page, because a cached
+     * line's recorded frame is valid only while its page stays mapped.
+     */
+    std::optional<uint64_t> translateAddr(uint64_t vaddr);
+
     /** Untimed functional word read (kernel/loader/debugger use). */
     Word peekWord(uint64_t vaddr);
 
@@ -194,7 +203,7 @@ class MemorySystem : public MemoryPort
         return peekWord(vaddr);
     }
 
-    PageTable &pageTable() { return pageTable_; }
+    const PageTable &pageTable() const { return pageTable_; }
     Tlb &tlb() { return tlb_; }
     Cache &cache() { return cache_; }
     TaggedMemory &phys() { return phys_; }

@@ -62,6 +62,7 @@ class PageTable
     size_t mappedPages() const { return table_.size(); }
 
     sim::StatGroup &stats() { return stats_; }
+    const sim::StatGroup &stats() const { return stats_; }
 
   private:
     /// Sentinel VPN that can never match (addresses are 54-bit).

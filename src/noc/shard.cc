@@ -436,6 +436,10 @@ ShardedMesh::run(uint64_t max_cycles)
 {
     const uint64_t start = cycle_;
     const uint64_t limit = start + max_cycles;
+    // The machines are stepped one cycle at a time, not run(): let
+    // every cluster rescan threads changed since the last run.
+    for (auto &m : machines_)
+        m->threadsChanged();
     refreshLive();
     bool done = allDone();
     while (!done && cycle_ < limit) {

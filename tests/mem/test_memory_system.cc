@@ -9,6 +9,7 @@
 
 #include "gp/ops.h"
 #include "mem/memory_system.h"
+#include "sim/rng.h"
 
 namespace gp::mem {
 namespace {
@@ -290,6 +291,48 @@ TEST(MemorySystem, WritebackChargesExtPort)
     // so no walk.
     auto acc = m.load(b, 8, t);
     EXPECT_EQ(acc.latency(), 1u + 1 + 8 + 4);
+}
+
+TEST(MemorySystem, UnmapLeavesNoStaleFrameInTheCache)
+{
+    // A hit reads the frame its line recorded at fill. unmapRange()
+    // is the only way to take a page's frame away, and it must not
+    // leave a line behind that still names the frame.
+    MemorySystem m(smallConfig());
+    Word p = rw(12, 0x10000);
+    m.store(p, Word::fromInt(42), 8); // the fill records the frame
+    ASSERT_TRUE(m.load(p, 8).cacheHit);
+    m.unmapRange(0x10000, 0x1000);
+    EXPECT_EQ(m.load(p, 8).fault, Fault::UnmappedAddress)
+        << "no line may serve a hit from the revoked frame";
+    m.mapRange(0x10000, 0x1000);
+    const MemAccess refill = m.load(p, 8);
+    EXPECT_EQ(refill.fault, Fault::None);
+    EXPECT_FALSE(refill.cacheHit);
+    EXPECT_EQ(refill.data.bits(), 42u);
+    const MemAccess hit = m.load(p, 8);
+    EXPECT_TRUE(hit.cacheHit);
+    EXPECT_EQ(hit.data.bits(), 42u);
+}
+
+TEST(MemorySystem, CorruptedTlbMisdirectsOnlyItsOwnFill)
+{
+    // An injected TLB corruption names the wrong frame for the miss
+    // that uses it. The line that miss fills records the page
+    // table's frame, so the hits after it read the right word.
+    MemorySystem m(smallConfig());
+    Word p = rw(12, 0x10000);
+    m.store(p, Word::fromInt(42), 8); // TLB now holds the page
+    m.cache().flushAll();             // the line goes, the entry stays
+    sim::Rng rng(1);
+    ASSERT_TRUE(m.tlb().corruptRandom(rng));
+    const MemAccess miss = m.load(p, 8);
+    EXPECT_EQ(miss.fault, Fault::None);
+    EXPECT_FALSE(miss.cacheHit);
+    EXPECT_EQ(miss.data.bits(), 0u) << "read through the wrong frame";
+    const MemAccess hit = m.load(p, 8);
+    EXPECT_TRUE(hit.cacheHit);
+    EXPECT_EQ(hit.data.bits(), 42u) << "the hit uses the table's frame";
 }
 
 } // namespace

@@ -116,7 +116,7 @@ class SubwordEcc
     {
         if (ms_) {
             ASSERT_TRUE(ms_->phys().flipStoredBit(
-                *ms_->pageTable().translateAddr(base_), bit));
+                *ms_->translateAddr(base_), bit));
             return;
         }
         auto &slice = global_.sliceFor(base_);

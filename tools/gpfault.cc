@@ -52,6 +52,7 @@
 #include "mem/ecc.h"
 #include "noc/node_memory.h"
 #include "sim/faultinject.h"
+#include "sim/log.h"
 #include "sim/stats_registry.h"
 
 using namespace gp;
@@ -276,10 +277,9 @@ parseArgs(int argc, char **argv, Options &opts, bool &exitEarly)
  */
 template <class Runner, class RunCounts, class Header>
 int
-runCampaign(const Options &opts, const typename Runner::Config &cfg,
-            std::ofstream &stats, RunCounts runCounts, Header header)
+runCampaign(const Options &opts, Runner &runner, std::ofstream &stats,
+            RunCounts runCounts, Header header)
 {
-    Runner runner(cfg);
     const auto totals = runner.runAll();
 
     if (opts.verbose) {
@@ -374,8 +374,21 @@ main(int argc, char **argv)
     if (opts.mesh) {
         fault::MeshCampaignConfig &mc = opts.meshCampaign;
         mc.faults = opts.campaign.faults;
-        return runCampaign<fault::MeshCampaignRunner>(
-            opts, mc, stats,
+        fault::MeshCampaignRunner runner(mc);
+        // Every run is judged against the failure-free one; if that
+        // does not halt, each run would be a vacuous "hang". Its
+        // budget warning would only repeat the message below.
+        const bool was_quiet = sim::quiet();
+        sim::setQuiet(true);
+        const bool halts = runner.goldenHalts();
+        sim::setQuiet(was_quiet);
+        if (!halts)
+            badInput("gpfault",
+                     "the failure-free golden run does not halt within "
+                     "--max-cycles " + std::to_string(mc.maxCycles) +
+                         ", so there is nothing to compare runs against");
+        return runCampaign(
+            opts, runner, stats,
             [](const fault::MeshRunResult &r) {
                 return "dead=" + std::to_string(r.deadNodes) +
                        " links=" + std::to_string(r.downLinks) +
@@ -400,8 +413,9 @@ main(int argc, char **argv)
             });
     }
     const fault::CampaignConfig &cc = opts.campaign;
-    return runCampaign<fault::CampaignRunner>(
-        opts, cc, stats,
+    fault::CampaignRunner runner(cc);
+    return runCampaign(
+        opts, runner, stats,
         [](const fault::RunResult &r) {
             return "eccC=" + std::to_string(r.eccCorrected) +
                    " eccD=" + std::to_string(r.eccDetected) +

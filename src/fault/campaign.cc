@@ -1,6 +1,7 @@
 #include "fault/campaign.h"
 
-#include "isa/assembler.h"
+#include <algorithm>
+
 #include "isa/loader.h"
 #include "isa/machine.h"
 #include "sim/log.h"
@@ -63,26 +64,33 @@ Signature
 signatureOf(mem::MemorySystem &ms)
 {
     Signature sig;
-    auto &pt = ms.pageTable();
-    for (uint64_t va = kDataBase; va < kDataBase + kDataBytes;
-         va += 8) {
-        const auto pfn = pt.translate(pt.vpn(va));
-        if (!pfn) {
-            // Page never touched: hash a distinct "absent" token.
-            sig.mix(0x5157ull);
-            continue;
+    const auto &pt = ms.pageTable();
+    const uint64_t end = kDataBase + kDataBytes;
+    uint64_t va = kDataBase;
+    while (va < end) {
+        // One translation per page: the words of a page share it.
+        const uint64_t vpn = pt.vpn(va);
+        const uint64_t pageEnd =
+            std::min(end, (vpn + 1) << pt.pageShift());
+        const auto pfn = pt.translate(vpn);
+        for (; va < pageEnd; va += 8) {
+            if (!pfn) {
+                // Page never touched: hash a distinct "absent" token.
+                sig.mix(0x5157ull);
+                continue;
+            }
+            const uint64_t pa = (*pfn << pt.pageShift()) |
+                                (va & (pt.pageBytes() - 1));
+            // Read *through the code*: with ECC on, a correctable
+            // upset at rest is not a difference — the consumer would
+            // see the corrected value. An uncorrectable one is
+            // detected, never silent.
+            const mem::CheckedWord cw = ms.phys().readWordChecked(pa);
+            if (cw.status == mem::EccStatus::Detected)
+                sig.detected = true;
+            sig.mix(cw.word.bits());
+            sig.mix(cw.word.isPointer() ? 0x9e3779b9ull : 0x51edull);
         }
-        const uint64_t pa = (*pfn << pt.pageShift()) |
-                            (va & (pt.pageBytes() - 1));
-        // Read *through the code*: with ECC on, a correctable upset
-        // at rest is not a difference — the consumer would see the
-        // corrected value. An uncorrectable one is detected, never
-        // silent.
-        const mem::CheckedWord cw = ms.phys().readWordChecked(pa);
-        if (cw.status == mem::EccStatus::Detected)
-            sig.detected = true;
-        sig.mix(cw.word.bits());
-        sig.mix(cw.word.isPointer() ? 0x9e3779b9ull : 0x51edull);
     }
     return sig;
 }
@@ -106,15 +114,11 @@ struct Harness
         return mcfg;
     }
 
-    explicit Harness(const CampaignConfig &cc)
+    Harness(const CampaignConfig &cc, const std::vector<Word> &code)
         : machine(makeConfig(cc))
     {
-        const isa::Assembly assembly = isa::assemble(kWorkload);
-        if (!assembly.ok)
-            sim::fatal("campaign workload failed to assemble: %s",
-                       assembly.error.c_str());
-        const isa::LoadedProgram prog = isa::loadProgram(
-            machine.mem(), kCodeBase, assembly.words);
+        const isa::LoadedProgram prog =
+            isa::loadProgram(machine.mem(), kCodeBase, code);
         thread = machine.spawn(prog.execPtr);
         if (!thread)
             sim::fatal("campaign: no thread slot");
@@ -125,10 +129,15 @@ struct Harness
 
 } // namespace
 
+CampaignRunner::CampaignRunner(const CampaignConfig &config)
+    : CampaignEngine("campaign", kWorkload), config_(config)
+{
+}
+
 RunResult
 CampaignRunner::execute(const uint64_t *runSeed)
 {
-    Harness h(config_);
+    Harness h(config_, code());
     auto &inj = FaultInjector::instance();
     mem::MemorySystem &ms = h.machine.mem();
 

@@ -157,10 +157,7 @@ class CampaignRunner
          &CampaignTotals::totalEccDetected},
     };
 
-    explicit CampaignRunner(const CampaignConfig &config)
-        : CampaignEngine("campaign"), config_(config)
-    {
-    }
+    explicit CampaignRunner(const CampaignConfig &config);
 
     /** The fault-free data-image signature (computed lazily). */
     uint64_t goldenSignature() { return golden().signature; }

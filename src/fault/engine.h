@@ -11,6 +11,8 @@
  * (CampaignRunner, MeshCampaignRunner) derives from it and keeps only
  * what is its own:
  *
+ *  - its workload source, which the engine assembles once, at
+ *    construction, for every run to load (`code()`);
  *  - `Result execute(const uint64_t *runSeed)`: build the harness,
  *    wire the faults (iff @p runSeed is set), run and classify;
  *  - `Config`, `Outcome` (with `outcomeName(Outcome)` beside it):
@@ -30,9 +32,13 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "gp/word.h"
+#include "isa/assembler.h"
 #include "sim/faultinject.h"
+#include "sim/log.h"
 #include "sim/rng.h"
 #include "sim/stats.h"
 
@@ -155,7 +161,15 @@ class CampaignEngine
     sim::StatGroup &stats() { return stats_; }
 
   protected:
-    explicit CampaignEngine(const char *statGroup) : stats_(statGroup) {}
+    CampaignEngine(const char *statGroup, const char *workload)
+        : stats_(statGroup)
+    {
+        isa::Assembly assembly = isa::assemble(workload);
+        if (!assembly.ok)
+            sim::fatal("%s workload failed to assemble: %s", statGroup,
+                       assembly.error.c_str());
+        code_ = std::move(assembly.words);
+    }
 
     ~CampaignEngine()
     {
@@ -163,6 +177,9 @@ class CampaignEngine
         if (sim::FaultInjector::armed())
             sim::FaultInjector::instance().disarm();
     }
+
+    /** The assembled workload every run loads. */
+    const std::vector<Word> &code() const { return code_; }
 
     /** The fault-free run, executed on first use. */
     const Result &
@@ -178,6 +195,7 @@ class CampaignEngine
   private:
     Arm &arm() { return static_cast<Arm &>(*this); }
 
+    std::vector<Word> code_;
     bool goldenValid_ = false;
     Result golden_{};
     uint64_t signature_ = 0;

@@ -1,7 +1,6 @@
 #include "fault/mesh_campaign.h"
 
 #include "gp/pointer.h"
-#include "isa/assembler.h"
 #include "isa/loader.h"
 #include "sim/log.h"
 
@@ -79,6 +78,11 @@ constantFor(unsigned m, unsigned j)
 
 } // namespace
 
+MeshCampaignRunner::MeshCampaignRunner(const MeshCampaignConfig &config)
+    : CampaignEngine("mesh_campaign", kMeshWorkload), config_(config)
+{
+}
+
 MeshRunResult
 MeshCampaignRunner::execute(const uint64_t *runSeed)
 {
@@ -94,10 +98,6 @@ MeshCampaignRunner::execute(const uint64_t *runSeed)
     noc::ShardedMesh shard(scfg);
     const unsigned nodes = shard.nodeCount();
 
-    const isa::Assembly assembly = isa::assemble(kMeshWorkload);
-    if (!assembly.ok)
-        sim::fatal("mesh campaign workload failed to assemble: %s",
-                   assembly.error.c_str());
     auto full = makePointer(Perm::ReadWrite, 54, 0);
     if (!full)
         sim::fatal("mesh campaign: cannot build full-space pointer");
@@ -105,7 +105,7 @@ MeshCampaignRunner::execute(const uint64_t *runSeed)
     for (unsigned n = 0; n < nodes; ++n) {
         const uint64_t base = noc::nodeBase(n);
         const isa::LoadedProgram prog = isa::loadProgram(
-            shard.node(n), base + kCodeOff, assembly.words);
+            shard.node(n), base + kCodeOff, code());
         isa::Thread *t = shard.machine(n).spawn(prog.execPtr);
         if (!t)
             sim::fatal("mesh campaign: node %u has no thread slot", n);

@@ -181,10 +181,7 @@ class MeshCampaignRunner
              &MeshCampaignTotals::totalUnreachableFaults},
         };
 
-    explicit MeshCampaignRunner(const MeshCampaignConfig &config)
-        : CampaignEngine("mesh_campaign"), config_(config)
-    {
-    }
+    explicit MeshCampaignRunner(const MeshCampaignConfig &config);
 
     /**
      * @return true when the failure-free run halts within maxCycles

@@ -20,20 +20,15 @@ void
 TaggedMemory::setEccMode(EccMode mode)
 {
     ecc_ = mode;
-    for (auto &[idx, cell] : store_)
+    for (auto &[idx, cell] : store_) {
         cell.check = eccEncode(ecc_, cell.w.bits(), cell.w.isPointer());
+        cell.upset = false;
+    }
 }
 
 CheckedWord
-TaggedMemory::readWordChecked(uint64_t addr)
+TaggedMemory::decodeUpset(Cell &cell)
 {
-    auto it = store_.find(addr >> 3);
-    if (it == store_.end())
-        return CheckedWord{Word{}, EccStatus::Ok};
-    if (ecc_ == EccMode::None)
-        return CheckedWord{it->second.w, EccStatus::Ok};
-
-    Cell &cell = it->second;
     uint64_t bits = cell.w.bits();
     bool tag = cell.w.isPointer();
     uint8_t check = cell.check;
@@ -48,19 +43,20 @@ TaggedMemory::readWordChecked(uint64_t addr)
     } else if (status == EccStatus::Detected) {
         eccDetected_++;
     }
-    return CheckedWord{makeWord(bits, tag), status};
+    // A repaired or Ok word is a codeword again. A Detected one stays
+    // upset, so every later read re-detects and re-counts it.
+    cell.upset = status == EccStatus::Detected;
+    return CheckedWord{cell.w, status};
 }
 
 CheckedWord
-TaggedMemory::loadChecked(uint64_t addr, unsigned size)
+TaggedMemory::loadSubWord(uint64_t addr, unsigned size)
 {
     CheckedWord cw = readWordChecked(addr);
-    if (size < 8) {
-        // Zero-extended sub-word; the tag never leaves the word.
-        const unsigned shift = (addr & 7) * 8;
-        const uint64_t mask = (uint64_t(1) << (size * 8)) - 1;
-        cw.word = Word::fromInt((cw.word.bits() >> shift) & mask);
-    }
+    // Zero-extended sub-word; the tag never leaves the word.
+    const unsigned shift = (addr & 7) * 8;
+    const uint64_t mask = (uint64_t(1) << (size * 8)) - 1;
+    cw.word = Word::fromInt((cw.word.bits() >> shift) & mask);
     return cw;
 }
 
@@ -81,7 +77,7 @@ bool
 TaggedMemory::flipStoredBit(uint64_t addr, unsigned bit)
 {
     auto it = store_.find(addr >> 3);
-    if (it == store_.end())
+    if (it == store_.end() || bit >= 64 + 1 + kEccCheckBits)
         return false;
     Cell &cell = it->second;
     if (bit < 64) {
@@ -89,11 +85,10 @@ TaggedMemory::flipStoredBit(uint64_t addr, unsigned bit)
                           cell.w.isPointer());
     } else if (bit == 64) {
         cell.w = makeWord(cell.w.bits(), !cell.w.isPointer());
-    } else if (bit < 64 + 1 + kEccCheckBits) {
-        cell.check ^= uint8_t(1u << (bit - 65));
     } else {
-        return false;
+        cell.check ^= uint8_t(1u << (bit - 65));
     }
+    cell.upset = true;
     return true;
 }
 

@@ -69,6 +69,7 @@ class TaggedMemory
     {
         Cell &c = store_[addr >> 3];
         c.w = w;
+        c.upset = false;
         if (ecc_ != EccMode::None)
             c.check = eccEncode(ecc_, w.bits(), w.isPointer());
     }
@@ -80,8 +81,21 @@ class TaggedMemory
      * uncorrectable error returns Detected and the word must not be
      * consumed architecturally. With EccMode::None this is exactly
      * readWord().
+     *
+     * Only a word an upset touched since it was last encoded is
+     * decoded: any other stored word is a codeword and decodes Ok by
+     * the code's definition, so skipping its decode is host-only.
      */
-    CheckedWord readWordChecked(uint64_t addr);
+    CheckedWord
+    readWordChecked(uint64_t addr)
+    {
+        auto it = store_.find(addr >> 3);
+        if (it == store_.end())
+            return CheckedWord{};
+        Cell &cell = it->second;
+        return cell.upset ? decodeUpset(cell)
+                          : CheckedWord{cell.w, EccStatus::Ok};
+    }
 
     /**
      * The tagged-data step every memory port (MemorySystem,
@@ -105,10 +119,7 @@ class TaggedMemory
                 writeSubWord(addr, size, value.bits());
             return CheckedWord{};
         }
-        // The common case stays one lookup: nothing to check or cut.
-        if (size == 8 && ecc_ == EccMode::None)
-            return CheckedWord{readWord(addr), EccStatus::Ok};
-        return loadChecked(addr, size);
+        return size == 8 ? readWordChecked(addr) : loadSubWord(addr, size);
     }
 
     /** @return number of distinct words ever written. */
@@ -140,18 +151,28 @@ class TaggedMemory
     uint64_t eccDetected() const { return eccDetected_; }
 
   private:
-    /** Slow path of access(): a checked and/or sub-word load. */
-    CheckedWord loadChecked(uint64_t addr, unsigned size);
-
-    /** Merge a 1/2/4-byte store into its word, clearing the tag. */
-    void writeSubWord(uint64_t addr, unsigned size, uint64_t value);
-
-    /** One resident word: payload+tag plus its stored check byte. */
+    /**
+     * One resident word: payload+tag plus its stored check byte.
+     * `upset` is host-only: set when flipStoredBit() changed a stored
+     * bit, cleared once the word is a codeword again (a write, a
+     * re-encode, a repair or an Ok decode).
+     */
     struct Cell
     {
         Word w{};
         uint8_t check = 0;
+        bool upset = false;
     };
+    static_assert(sizeof(Cell) == 24, "upset must sit in Cell padding");
+
+    /** Decode an upset cell: repair, count, and clear what is clean. */
+    CheckedWord decodeUpset(Cell &cell);
+
+    /** A checked 1/2/4-byte load: zero-extended, the tag dropped. */
+    CheckedWord loadSubWord(uint64_t addr, unsigned size);
+
+    /** Merge a 1/2/4-byte store into its word, clearing the tag. */
+    void writeSubWord(uint64_t addr, unsigned size, uint64_t value);
 
     EccMode ecc_ = EccMode::None;
     std::unordered_map<uint64_t, Cell> store_;

@@ -49,24 +49,14 @@ FaultInjector::disarm()
     clearTickTargets();
 }
 
-bool
-FaultInjector::fire(FaultSite site)
+void
+FaultInjector::countFired(unsigned i)
 {
-    if (!armed_)
-        return false;
-    const auto i = static_cast<unsigned>(site);
-    const double rate = cfg_.rate[i];
-    // Burn exactly one draw per opportunity regardless of rate, so a
-    // site's stream position depends only on its own opportunity
-    // count — rates can vary across campaign arms without shifting
-    // the victim-selection draws.
-    const bool hit = streams_[i].uniform() < rate;
-    if (hit) {
-        fired_[i]++;
-        stats_.counter(std::string("fired.") +
-                       std::string(faultSiteName(site)))++;
-    }
-    return hit;
+    fired_[i]++;
+    if (!firedCounters_[i])
+        firedCounters_[i] = &stats_.counter(
+            "fired." + std::string(faultSiteName(FaultSite(i))));
+    (*firedCounters_[i])++;
 }
 
 uint64_t
@@ -85,6 +75,10 @@ void
 FaultInjector::setTickTarget(FaultSite site, TickHook hook)
 {
     hooks_[static_cast<unsigned>(site)] = std::move(hook);
+    tickCount_ = 0;
+    for (unsigned i = 0; i < kFaultSiteCount; ++i)
+        if (hooks_[i])
+            tickSites_[tickCount_++] = uint8_t(i);
 }
 
 void
@@ -92,21 +86,7 @@ FaultInjector::clearTickTargets()
 {
     for (auto &hook : hooks_)
         hook = nullptr;
-}
-
-void
-FaultInjector::tick(uint64_t cycle)
-{
-    (void)cycle;
-    if (!armed_)
-        return;
-    for (unsigned i = 0; i < kFaultSiteCount; ++i) {
-        if (!hooks_[i])
-            continue;
-        const auto site = static_cast<FaultSite>(i);
-        if (fire(site))
-            hooks_[i](streams_[i]);
-    }
+    tickCount_ = 0;
 }
 
 uint64_t

@@ -170,7 +170,21 @@ class FaultInjector
      * a zero-rate site still burns one draw per call while armed, so
      * outcome streams do not depend on *other* sites' rates.
      */
-    bool fire(FaultSite site);
+    bool
+    fire(FaultSite site)
+    {
+        if (!armed_)
+            return false;
+        const auto i = static_cast<unsigned>(site);
+        // Burn exactly one draw per opportunity regardless of rate,
+        // so a site's stream position depends only on its own
+        // opportunity count — rates can vary across campaign arms
+        // without shifting the victim-selection draws.
+        if (!(streams_[i].uniform() < cfg_.rate[i]))
+            return false;
+        countFired(i);
+        return true;
+    }
 
     /**
      * Detail draw in [0, bound) from @p site's stream, for picking
@@ -195,10 +209,22 @@ class FaultInjector
 
     /**
      * One machine cycle: give every tick-target site one Bernoulli
-     * opportunity. Called from Machine::step() under an armed()
-     * guard so the disarmed cost is the flag test alone.
+     * opportunity, in ascending site order. Called from
+     * Machine::step() under an armed() guard so the disarmed cost is
+     * the flag test alone; a site without a hook costs nothing.
      */
-    void tick(uint64_t cycle);
+    void
+    tick(uint64_t cycle)
+    {
+        (void)cycle;
+        if (!armed_)
+            return;
+        for (unsigned k = 0; k < tickCount_; ++k) {
+            const unsigned i = tickSites_[k];
+            if (fire(static_cast<FaultSite>(i)))
+                hooks_[i](streams_[i]);
+        }
+    }
 
     /** Injections fired at @p site since arm(). */
     uint64_t injected(FaultSite site) const;
@@ -212,13 +238,22 @@ class FaultInjector
   private:
     FaultInjector();
 
+    /** Count one fired injection at site @p i (the rare path). */
+    void countFired(unsigned i);
+
     inline static bool armed_ = false;
 
     FaultConfig cfg_{};
     Rng streams_[kFaultSiteCount];
     TickHook hooks_[kFaultSiteCount];
+    /** The sites with a hook, ascending: what tick() visits. */
+    uint8_t tickSites_[kFaultSiteCount] = {};
+    unsigned tickCount_ = 0;
     uint64_t fired_[kFaultSiteCount] = {};
     StatGroup stats_{"faultinject"};
+    /** Each site's "fired.<site>" counter, registered on its first
+     * fire so the exported set names only sites that fired. */
+    Counter *firedCounters_[kFaultSiteCount] = {};
 };
 
 } // namespace gp::sim

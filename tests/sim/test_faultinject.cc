@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "sim/faultinject.h"
@@ -190,6 +192,85 @@ TEST_F(FaultInjectTest, TickInvokesOnlyRegisteredHooks)
     for (uint64_t c = 1; c <= 10; ++c)
         inj.tick(c);
     EXPECT_EQ(calls, 10u);
+}
+
+TEST_F(FaultInjectTest, TickVisitsHookedSitesInAscendingOrder)
+{
+    // tick() walks only the sites that have a hook. Whatever order
+    // hooks are registered or replaced in, it must fire exactly what
+    // one fire() per hooked site, in ascending site order, fires —
+    // and hand each hook its own site's stream.
+    auto &inj = FaultInjector::instance();
+    FaultConfig fc;
+    fc.seed = 2024;
+    for (unsigned i = 0; i < kFaultSiteCount; ++i)
+        fc.rate[i] = 0.05 + 0.05 * (i % 5);
+    constexpr uint64_t kCycles = 400;
+
+    using Event = std::tuple<uint64_t, unsigned, uint64_t>;
+    std::vector<Event> got;
+    uint64_t cycle = 0;
+    auto hook = [&got, &cycle](FaultSite site) {
+        return [&got, &cycle, site](Rng &rng) {
+            got.emplace_back(cycle, unsigned(site), rng.below(1000));
+        };
+    };
+    auto reference = [&](const std::vector<FaultSite> &sites) {
+        inj.arm(fc);
+        std::vector<Event> want;
+        for (uint64_t c = 1; c <= kCycles; ++c)
+            for (unsigned i = 0; i < kFaultSiteCount; ++i)
+                for (FaultSite s : sites)
+                    if (unsigned(s) == i && inj.fire(s))
+                        want.emplace_back(c, i, inj.drawBelow(s, 1000));
+        return want;
+    };
+    auto ticked = [&] {
+        got.clear();
+        for (cycle = 1; cycle <= kCycles; ++cycle)
+            inj.tick(cycle);
+        return got;
+    };
+
+    const std::vector<FaultSite> first = {
+        FaultSite::LinkDown, FaultSite::NocDelay,
+        FaultSite::PtWalkTransient, FaultSite::TlbCorrupt,
+        FaultSite::MemPermField, FaultSite::MemDataBit};
+    inj.arm(fc);
+    for (FaultSite s : first) // descending registration
+        inj.setTickTarget(s, hook(s));
+    inj.setTickTarget(FaultSite::TlbCorrupt, hook(FaultSite::TlbCorrupt));
+    const std::vector<Event> a = ticked();
+    EXPECT_FALSE(a.empty());
+    for (FaultSite s : first)
+        EXPECT_EQ(inj.stats().get("fired." +
+                                  std::string(faultSiteName(s))),
+                  inj.injected(s));
+    EXPECT_EQ(a, reference(first));
+
+    // Re-arming drops every hook; a new, smaller set starts afresh.
+    const std::vector<FaultSite> second = {FaultSite::NocCorrupt,
+                                           FaultSite::MemTagBit};
+    inj.arm(fc);
+    EXPECT_TRUE(ticked().empty());
+    inj.arm(fc);
+    for (FaultSite s : second)
+        inj.setTickTarget(s, hook(s));
+    const std::vector<Event> b = ticked();
+    EXPECT_FALSE(b.empty());
+    EXPECT_EQ(inj.stats().get("fired.mem-tag-bit"),
+              inj.injected(FaultSite::MemTagBit));
+    EXPECT_EQ(b, reference(second));
+
+    // A hook set to empty leaves the list; clearing leaves nothing.
+    inj.arm(fc);
+    for (FaultSite s : second)
+        inj.setTickTarget(s, hook(s));
+    inj.setTickTarget(FaultSite::NocCorrupt, nullptr);
+    const std::vector<Event> c = ticked();
+    EXPECT_EQ(c, reference({FaultSite::MemTagBit}));
+    inj.clearTickTargets();
+    EXPECT_TRUE(ticked().empty());
 }
 
 TEST_F(FaultInjectTest, SiteNamesRoundTrip)

@@ -10,10 +10,10 @@ count, so no mutant can ask for a long run or many host threads.
 Every mutant must exit 0-3 without a signal, within the per-run
 timeout. An exit 2 (bad input) must print exactly one stderr line or
 the usage text. The tools run in a temporary directory, so the files
-they write are removed afterwards.
+they write are removed afterwards. The seed and timeout are those of
+fuzzrun.py.
 
     python3 tools/argv_fuzz.py --gpsim BIN --gpverify BIN --gpfault BIN
-        [--seed S]
 
 Exit status: 0 every mutant behaved, 1 at least one did not (each is
 printed), 2 bad input.
@@ -23,12 +23,12 @@ import argparse
 import os
 import random
 import re
-import subprocess
 import sys
 import tempfile
 
+import fuzzrun
+
 PER_TOOL = 150       # mutants per tool
-TIMEOUT_S = 60.0     # per run; the seed vectors take well under a second
 
 NUMBERS = ["0", "-1", "18446744073709551616", "12x", ""]
 NUMERIC = re.compile(r"^[0-9][0-9.e+-]*$")
@@ -138,26 +138,14 @@ def mutate(rng, seed_vector):
 def check(binary, argv, workdir):
     """Run one vector. @return (exit status, failure description or
     None)."""
-    try:
-        proc = subprocess.run([binary] + argv, cwd=workdir,
-                              stdin=subprocess.DEVNULL,
-                              stdout=subprocess.DEVNULL,
-                              stderr=subprocess.PIPE, timeout=TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        return None, "no exit within %gs" % TIMEOUT_S
-    status = proc.returncode
-    err = proc.stderr.decode(errors="replace")
-    if status < 0:
-        return status, "killed by signal %d: %s" % (-status, err.strip())
-    if status > 3:
-        return status, "exit %d: %s" % (status, err.strip())
-    if status == 2:
+    status, err, why = fuzzrun.run([binary] + argv, workdir)
+    if why is None and status == 2:
         lines = err.splitlines()
         if len(lines) != 1 and not any(l.startswith("usage")
                                        for l in lines):
             return status, "exit 2 with %d stderr lines and no usage: %s" % (
                 len(lines), err.strip())
-    return status, None
+    return status, why
 
 
 def main():
@@ -165,23 +153,18 @@ def main():
     ap.add_argument("--gpsim", required=True)
     ap.add_argument("--gpverify", required=True)
     ap.add_argument("--gpfault", required=True)
-    ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
-    # Absolute: the tools run inside the work directory.
-    binaries = {"gpsim": os.path.abspath(args.gpsim),
-                "gpverify": os.path.abspath(args.gpverify),
-                "gpfault": os.path.abspath(args.gpfault)}
-    for tool, path in binaries.items():
-        if not os.access(path, os.X_OK):
-            print("argv_fuzz: cannot run %s binary %s" % (tool, path),
-                  file=sys.stderr)
-            return 2
+    binaries = fuzzrun.tool_paths("argv_fuzz", {"gpsim": args.gpsim,
+                                                "gpverify": args.gpverify,
+                                                "gpfault": args.gpfault})
+    if binaries is None:
+        return 2
 
     with tempfile.TemporaryDirectory(prefix="argv_fuzz") as workdir:
         for name, text in PROGRAMS.items():
             with open(os.path.join(workdir, name), "w") as f:
                 f.write(text)
-        failures = run_all(binaries, random.Random(args.seed), workdir)
+        failures = run_all(binaries, random.Random(fuzzrun.SEED), workdir)
     print("argv_fuzz: %d failure(s)" % failures)
     return 1 if failures else 0
 

@@ -67,7 +67,6 @@ class DomainPageScheme : public Scheme
     }
 
     sim::StatGroup &stats() override { return stats_; }
-    mem::Tlb &plb() { return plb_; }
 
   private:
     VirtualCachePath path_;

@@ -47,7 +47,6 @@ class GuardedScheme : public Scheme
     }
 
     sim::StatGroup &stats() override { return stats_; }
-    VirtualCachePath &path() { return path_; }
 
   private:
     VirtualCachePath path_;

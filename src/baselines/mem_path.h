@@ -79,10 +79,7 @@ class VirtualCachePath
         return costs_.switchFixed;
     }
 
-    mem::Cache &cache() { return cache_; }
-    mem::Tlb &tlb() { return tlb_; }
     unsigned pageShift() const { return pageShift_; }
-    const Costs &costs() const { return costs_; }
 
   private:
     mem::Cache cache_;

@@ -95,8 +95,6 @@ class PointerView
                a <= kAddrMask;
     }
 
-    constexpr Word word() const { return word_; }
-
   private:
     Word word_;
 };

@@ -153,13 +153,6 @@ class Thread
             state_ = ThreadState::Ready;
     }
 
-    /** @return true if the thread can issue at the given cycle. */
-    bool
-    canIssue(uint64_t cycle) const
-    {
-        return state_ == ThreadState::Ready && stallUntil_ <= cycle;
-    }
-
     uint64_t stallUntil() const { return stallUntil_; }
     void stallTo(uint64_t cycle) { stallUntil_ = cycle; }
 

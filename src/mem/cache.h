@@ -127,7 +127,6 @@ class Cache
     /** Total data capacity in bytes. */
     uint64_t capacityBytes() const;
 
-    const CacheConfig &config() const { return config_; }
     sim::StatGroup &stats() { return stats_; }
 
   private:

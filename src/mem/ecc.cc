@@ -36,12 +36,6 @@ struct PositionMap
 
 constexpr PositionMap kMap{};
 
-inline bool
-dataBit(uint64_t bits, bool tag, unsigned d)
-{
-    return d < 64 ? ((bits >> d) & 1) != 0 : tag;
-}
-
 inline void
 flipDataBit(uint64_t &bits, bool &tag, unsigned d)
 {

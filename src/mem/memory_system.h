@@ -207,7 +207,6 @@ class MemorySystem : public MemoryPort
     Tlb &tlb() { return tlb_; }
     Cache &cache() { return cache_; }
     TaggedMemory &phys() { return phys_; }
-    const MemTiming &timing() const { return config_.timing; }
     sim::StatGroup &stats() { return stats_; }
 
   private:

@@ -53,8 +53,6 @@ class TaggedMemory
      */
     void setEccMode(EccMode mode);
 
-    EccMode eccMode() const { return ecc_; }
-
     /** Read the full tagged word containing byte address addr. */
     Word
     readWord(uint64_t addr) const

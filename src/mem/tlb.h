@@ -69,7 +69,6 @@ class Tlb
     bool invalidateRandom(sim::Rng &rng);
 
     size_t size() const { return map_.size(); }
-    size_t capacity() const { return capacity_; }
 
     sim::StatGroup &stats() { return stats_; }
 

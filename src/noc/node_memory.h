@@ -169,15 +169,6 @@ class EpochExchange
 
     void post(const DeferredAccess &op) { lanes_[op.node].push_back(op); }
 
-    bool
-    empty() const
-    {
-        for (const auto &lane : lanes_)
-            if (!lane.empty())
-                return false;
-        return true;
-    }
-
     /** Move out every posted access in canonical order. */
     std::vector<DeferredAccess> drain();
 
@@ -258,10 +249,6 @@ class NodeMemory : public mem::MemoryPort
     /** Untimed functional read. */
     Word peekWord(uint64_t vaddr);
 
-    unsigned node() const { return node_; }
-    mem::Cache &cache() { return cache_; }
-    mem::Tlb &tlb() { return tlb_; }
-    Retransmitter &retransmitter() { return retrans_; }
     sim::StatGroup &stats() { return stats_; }
 
     /** Accesses that faulted NodeUnreachable (dead home / no route). */

@@ -40,14 +40,11 @@ ShardedMesh::ShardedMesh(const ShardConfig &config)
             n * mcfg.clusters * mcfg.threadsPerCluster);
     }
 
-    // Lookahead: an epoch may not exceed the minimum inter-node
-    // message latency, or a message could be due before the barrier
-    // that delivers it.
-    const uint64_t lookahead =
-        std::max<uint64_t>(1, mesh_.minMessageLatency());
-    horizon_ = config_.epochHorizon == 0
-                   ? lookahead
-                   : std::min(config_.epochHorizon, lookahead);
+    // Lookahead: an epoch lasts the minimum inter-node message
+    // latency. A longer one could make a message due before the
+    // barrier that delivers it. The horizon fixes when split
+    // transactions complete, so it is part of the canonical schedule.
+    horizon_ = std::max<uint64_t>(1, mesh_.minMessageLatency());
 
     hostThreads_ = std::max(1u, std::min(config_.hostThreads, nodes));
 

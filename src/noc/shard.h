@@ -71,13 +71,6 @@ struct ShardConfig
      * on the calling thread; clamped to the node count. Results are
      * identical for every value. */
     unsigned hostThreads = 1;
-    /** Cycles per epoch; 0 derives Mesh::minMessageLatency(). Must
-     * not exceed the derived lookahead — larger values are clamped.
-     * Smaller values are legal but change the canonical schedule
-     * (split transactions complete at barriers), so the horizon is
-     * part of the configuration a signature is pinned to; for any
-     * fixed horizon results stay identical across thread counts. */
-    uint64_t epochHorizon = 0;
     /** Distributed (mesh-wide) quiescence watchdog: when nonzero,
      * trip once no surviving node has made progress (retired an
      * instruction or taken a fault) for this many simulated cycles
@@ -112,7 +105,6 @@ class ShardedMesh
     unsigned shardOf(unsigned n) const;
 
     Mesh &mesh() { return mesh_; }
-    GlobalMemory &global() { return global_; }
     NodeMemory &node(unsigned n) { return *nodes_[n]; }
     isa::Machine &machine(unsigned n) { return *machines_[n]; }
 
@@ -155,9 +147,6 @@ class ShardedMesh
     {
         return nodeCount() - unsigned(mesh_.deadNodeCount());
     }
-
-    /** Exchange ops dropped because their poster fail-stopped. */
-    uint64_t deadOpsDropped() const { return deadOpsDropped_; }
 
     /**
      * Flight-recorder-style post-mortem of the mesh: failure set,
@@ -279,7 +268,7 @@ class ShardedMesh
     std::vector<std::unique_ptr<NodeMemory>> nodes_;
     std::vector<std::unique_ptr<isa::Machine>> machines_;
     unsigned hostThreads_ = 1;
-    uint64_t horizon_ = 1;
+    uint64_t horizon_ = 1; //!< cycles per epoch: the lookahead
     uint64_t cycle_ = 0;
     /// [first, last) node range per shard.
     std::vector<std::pair<unsigned, unsigned>> shardRange_;

@@ -65,10 +65,6 @@ class BuddyAllocator
     /** @return number of free blocks (fragmentation indicator). */
     size_t freeBlockCount() const;
 
-    uint64_t regionBase() const { return base_; }
-    uint64_t regionLog2() const { return regionLog2_; }
-    uint64_t minLog2() const { return minLog2_; }
-
     sim::StatGroup &stats() { return stats_; }
 
   private:

@@ -51,9 +51,6 @@ class FreeListAllocator
     uint64_t largestFreeBlock() const;
 
     size_t freeBlockCount() const { return freeByAddr_.size(); }
-    size_t liveAllocations() const { return live_.size(); }
-
-    sim::StatGroup &stats() { return stats_; }
 
   private:
     /// free blocks keyed by base -> size

@@ -71,8 +71,6 @@ class AddressSpaceGc
     GcStats collectFromMachine(const isa::Machine &machine,
                                const std::vector<Word> &extra_roots = {});
 
-    Mode mode() const { return mode_; }
-
   private:
     /**
      * If the word references a live segment under the current mode,

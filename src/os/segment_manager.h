@@ -96,7 +96,6 @@ class SegmentManager
     uint64_t allocatedBytes() const { return allocatedBytes_; }
 
     BuddyAllocator &buddy() { return buddy_; }
-    sim::StatGroup &stats() { return stats_; }
 
   private:
     mem::MemorySystem &mem_;

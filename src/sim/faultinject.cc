@@ -65,12 +65,6 @@ FaultInjector::drawBelow(FaultSite site, uint64_t bound)
     return streams_[static_cast<unsigned>(site)].below(bound);
 }
 
-Rng &
-FaultInjector::rng(FaultSite site)
-{
-    return streams_[static_cast<unsigned>(site)];
-}
-
 void
 FaultInjector::setTickTarget(FaultSite site, TickHook hook)
 {

@@ -194,9 +194,6 @@ class FaultInjector
      */
     uint64_t drawBelow(FaultSite site, uint64_t bound);
 
-    /** Direct stream access for multi-draw corruption hooks. */
-    Rng &rng(FaultSite site);
-
     /**
      * Register the corruption hook for a tick-scheduled site. The
      * hook is invoked from tick() with the site's stream whenever

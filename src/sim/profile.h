@@ -232,12 +232,6 @@ class Profiler
     uint64_t instructions() const { return instructions_; }
     unsigned clusters() const { return clusters_; }
 
-    /** Check events skipped under a verifier proof while armed. */
-    uint64_t checksElided() const { return checksElided_; }
-    /** Check events run in full on a proof-carrying machine while
-     * armed. */
-    uint64_t checksExecuted() const { return checksExecuted_; }
-
     /** Non-empty cluster-cycles attributed to thread `slot`. */
     uint64_t threadCycles(unsigned slot) const
     {

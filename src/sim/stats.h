@@ -104,9 +104,6 @@ class Histogram
     /** Exclusive upper bound of bucket i (UINT64_MAX for overflow). */
     uint64_t bucketHigh(size_t i) const;
 
-    /** Upper bound of the bucketed range (overflow threshold). */
-    uint64_t range() const { return range_; }
-
   private:
     std::vector<uint64_t> buckets_;
     uint64_t range_;

@@ -26,7 +26,6 @@ constexpr CatInfo kCats[kTraceCatCount] = {
     {TraceCat::Fault, "fault", "thread"},
     {TraceCat::Gate, "gate", "thread"},
     {TraceCat::NoC, "noc", "node"},
-    {TraceCat::Sched, "sched", "job"},
 };
 
 const CatInfo &

@@ -3,7 +3,7 @@
  * Structured event tracing for the simulator (gem5-DPRINTF-style).
  *
  * Every simulated component emits cycle-stamped TraceEvents through the
- * process-wide TraceManager under one of eight categories. Emission is
+ * process-wide TraceManager under one of seven categories. Emission is
  * near-zero-cost when a category is disabled: the GP_TRACE macro is a
  * single branch on a cached bitmask and does NOT evaluate its format
  * arguments when the category is off.
@@ -45,10 +45,9 @@ enum class TraceCat : uint32_t
     Fault = 1u << 4, //!< protection faults with pointer bounds
     Gate = 1u << 5,  //!< enter-pointer gate crossings
     NoC = 1u << 6,   //!< mesh messages
-    Sched = 1u << 7, //!< software scheduler job events
 };
 
-inline constexpr unsigned kTraceCatCount = 8;
+inline constexpr unsigned kTraceCatCount = 7;
 inline constexpr uint32_t kTraceAllMask = (1u << kTraceCatCount) - 1;
 
 /** @return stable lower-case category name ("exec", "cache", ...). */

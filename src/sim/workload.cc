@@ -38,13 +38,6 @@ TraceGenerator::TraceGenerator(const WorkloadConfig &config)
         pickNewRun(cursors_[d], d);
 }
 
-uint32_t
-TraceGenerator::totalSegments() const
-{
-    return config_.numDomains * config_.segmentsPerDomain +
-           config_.sharedSegments;
-}
-
 uint64_t
 TraceGenerator::segmentBaseByIndex(uint32_t global_index) const
 {

@@ -71,12 +71,6 @@ class TraceGenerator
     /** @return base virtual address of a shared segment. */
     uint64_t sharedBase(uint32_t segment) const;
 
-    /** @return the currently scheduled domain. */
-    uint32_t currentDomain() const { return currentDomain_; }
-
-    /** @return total distinct segments (private + shared). */
-    uint32_t totalSegments() const;
-
     const WorkloadConfig &config() const { return config_; }
 
   private:

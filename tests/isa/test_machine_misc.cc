@@ -2,7 +2,7 @@
  * @file
  * Machine housekeeping tests: cluster placement, run limits, the
  * fault log, and stat counters — the operational surface the tools
- * and scheduler depend on.
+ * depend on.
  */
 
 #include "machine_fixture.h"

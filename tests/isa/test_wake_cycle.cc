@@ -75,8 +75,9 @@ TEST(WakeCycle, SpawnOntoSleepingClustersBetweenRuns)
     Thread *c = m.spawnOnCluster(1, count.execPtr);
     ASSERT_NE(b, nullptr);
     ASSERT_NE(c, nullptr);
-    // Stepped first, as os::Scheduler steps a machine: no run()
-    // entry resets the wake cycles for the spawns.
+    // Stepped outside run(), as ShardedMesh and examples/multinode
+    // step a machine: no run() entry resets the wake cycles for the
+    // spawns.
     for (int i = 0; i < 50; ++i)
         m.step();
     m.run(100000);
@@ -139,8 +140,9 @@ TEST(WakeCycle, WatchdogKillTurnsStalledCyclesIntoEmptyCycles)
     m.run(100000);
     ASSERT_TRUE(m.watchdogTripped());
     EXPECT_EQ(a->state(), ThreadState::Faulted);
-    // Stepped on after the kill, as os::Scheduler steps a machine:
-    // both clusters are empty from the trip on.
+    // Stepped outside run() after the kill, as ShardedMesh and
+    // examples/multinode step a machine: both clusters are empty
+    // from the trip on.
     for (int i = 0; i < 10; ++i)
         m.step();
     expectCounts(m, {310, 619, 299, 320, 0});

@@ -124,25 +124,27 @@ TEST(ShardDeterminism, RepeatedRunsAreIdentical)
     EXPECT_EQ(a.signature, b.signature);
 }
 
-TEST(ShardDeterminism, ShortHorizonStillThreadCountInvariant)
-{
-    // The horizon is part of the canonical schedule (remote split
-    // transactions complete at barriers), so changing it changes the
-    // signature — but for any fixed horizon the result must still be
-    // identical across host-thread counts.
-    ShardConfig one = meshConfig(1);
-    one.epochHorizon = 1;
-    ShardConfig four = meshConfig(4);
-    four.epochHorizon = 1;
-    EXPECT_EQ(runTraffic(one).signature, runTraffic(four).signature);
-}
-
 TEST(ShardDeterminism, OversizedHorizonClampedToLookahead)
 {
+    // An epoch always lasts the lookahead: the minimum inter-node
+    // message latency, and at least one cycle.
     ShardConfig cfg = meshConfig(1);
-    cfg.epochHorizon = 1 << 20;
-    ShardedMesh shard(cfg);
-    EXPECT_EQ(shard.epochHorizon(), shard.mesh().minMessageLatency());
+    {
+        ShardedMesh shard(cfg);
+        EXPECT_EQ(shard.epochHorizon(), 4u);
+        EXPECT_EQ(shard.epochHorizon(), shard.mesh().minMessageLatency());
+    }
+    cfg.mesh.hopLatency = 10;
+    {
+        ShardedMesh shard(cfg);
+        EXPECT_EQ(shard.epochHorizon(), 12u);
+    }
+    cfg.mesh.hopLatency = 0;
+    cfg.mesh.injectLatency = 0;
+    {
+        ShardedMesh shard(cfg);
+        EXPECT_EQ(shard.epochHorizon(), 1u);
+    }
 }
 
 TEST(ShardDeterminism, MoreNodesThanHomeIdsIsFatal)

@@ -214,7 +214,7 @@ TEST_F(TraceTest, JsonEscapesEventPayloads)
     const std::string path =
         ::testing::TempDir() + "gp_trace_escape.json";
     ASSERT_TRUE(tm().openJson(path));
-    tm().emitf(TraceCat::Sched, 0, 0, "a\"b\\c", "detail with \"quotes\"");
+    tm().emitf(TraceCat::Gate, 0, 0, "a\"b\\c", "detail with \"quotes\"");
     tm().closeJson();
 
     std::ifstream in(path);
@@ -263,7 +263,7 @@ TEST(TraceCatNames, StableLowerCaseNames)
 {
     EXPECT_EQ(traceCatName(TraceCat::Exec), "exec");
     EXPECT_EQ(traceCatName(TraceCat::NoC), "noc");
-    EXPECT_EQ(traceCatName(TraceCat::Sched), "sched");
+    EXPECT_EQ(traceCatName(TraceCat::Gate), "gate");
 }
 
 } // namespace

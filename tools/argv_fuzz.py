@@ -53,7 +53,7 @@ SEEDS = {
         ["prog.s", "--verify=strict", "--issue-width", "2",
          "--ecc=secded", "--dump-regs"],
         ["mesh.s", "--mesh", "2,2,1", "--threads", "2",
-         "--epoch-horizon", "4", "--mesh-watchdog", "5000"],
+         "--mesh-watchdog", "5000"],
         ["prog.s", "--profile=pc,interval", "--profile-interval=64",
          "--profile-out=fz_p.json", "--stats-json=fz_s.json"],
         ["prog.s", "--trace=exec", "--flight-recorder=8",

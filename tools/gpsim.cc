@@ -60,13 +60,21 @@ namespace {
 /// global space.
 constexpr unsigned kMeshSpaceLog2 = 54;
 
+/// The MAP has 4 clusters. A machine allocates its thread slots and
+/// per-cluster state up front and scans every cluster each cycle, so
+/// a count near UINT32_MAX would exhaust memory before anything ran.
+constexpr unsigned kMaxClusters = 1024;
+
+/// The flight recorder reserves its whole ring (one TraceEvent, ~80
+/// bytes, per entry) when it is armed; 2^20 entries is ~80 MB.
+constexpr size_t kMaxFlightRecorder = size_t(1) << 20;
+
 struct Options
 {
     std::string source;
     unsigned threads = 1;
     bool mesh = false;            //!< sharded multicomputer mode
     unsigned meshDims[3] = {};    //!< X, Y, Z
-    uint64_t epochHorizon = 0;    //!< 0 = derive from link latency
     bool profileIntervalSet = false;
     uint64_t dataBytes = 4096;
     unsigned clusters = 4;
@@ -106,15 +114,15 @@ usage(const char *argv0)
         "                   nodes (one thread per node, r1 = full-space\n"
         "                   RW pointer, r2 = node id) under the sharded\n"
         "                   epoch engine; prints a deterministic\n"
-        "                   signature\n"
-        "  --epoch-horizon N  cycles per epoch in --mesh mode\n"
-        "                   (default/max: the mesh lookahead)\n"
+        "                   signature; an epoch lasts the mesh\n"
+        "                   lookahead (the minimum message latency)\n"
         "  --mesh-watchdog N  distributed quiescence watchdog: trip\n"
         "                   (with a post-mortem) after N cycles of\n"
         "                   zero mesh-wide progress (requires --mesh)\n"
         "  --data BYTES     size of each thread's r1 data segment "
         "(default 4096)\n"
-        "  --clusters N     hardware clusters (default 4)\n"
+        "  --clusters N     hardware clusters (default 4, at most\n"
+        "                   1024)\n"
         "  --issue-width N  instructions/cluster/cycle (default 1)\n"
         "  --max-cycles N   cycle budget; arms the machine watchdog,\n"
         "                   so hangs die with WatchdogTimeout and\n"
@@ -137,11 +145,12 @@ usage(const char *argv0)
         "                   the proof is derived at load\n"
         "  --trace[=CATS]   structured event trace to stdout; CATS is\n"
         "                   'all' or a comma list of exec,mem,cache,\n"
-        "                   tlb,fault,gate,noc,sched (default exec)\n"
+        "                   tlb,fault,gate,noc (default exec)\n"
         "  --trace-out=FILE write a Chrome trace-event JSON (all\n"
         "                   categories; open in Perfetto)\n"
-        "  --flight-recorder=N  keep the last N events and dump them\n"
-        "                   when a thread dies on an unhandled fault\n"
+        "  --flight-recorder=N  keep the last N events (at most\n"
+        "                   1048576) and dump them when a thread dies\n"
+        "                   on an unhandled fault\n"
         "  --stats-json=FILE    export every stat group as JSON\n"
         "  --profile[=MODES]    attribute every cycle to a CPI-stack\n"
         "                   component; MODES is a comma list of\n"
@@ -252,11 +261,6 @@ parseArgs(int argc, char **argv, Options &opts)
             opts.mesh = true;
             continue;
         }
-        if (valueOf("--epoch-horizon", value)) {
-            opts.epochHorizon =
-                numberArg("gpsim", "--epoch-horizon", value);
-            continue;
-        }
         if (valueOf("--threads", value)) {
             opts.threads = unsigned(
                 numberArg("gpsim", "--threads", value, UINT32_MAX));
@@ -306,6 +310,16 @@ validateOptions(const Options &opts)
         return "--threads must be at least 1";
     if (opts.clusters == 0)
         return "--clusters must be at least 1";
+    if (opts.clusters > kMaxClusters)
+        return "--clusters " + std::to_string(opts.clusters) +
+               " exceeds the limit of " + std::to_string(kMaxClusters) +
+               " (each cluster's thread slots are allocated up front)";
+    if (opts.flightRecorder > kMaxFlightRecorder)
+        return "--flight-recorder " +
+               std::to_string(opts.flightRecorder) +
+               " exceeds the limit of " +
+               std::to_string(kMaxFlightRecorder) +
+               " events (the ring is reserved up front)";
     if (opts.issueWidth == 0)
         return "--issue-width must be at least 1";
     if (opts.dataBytes == 0)
@@ -319,8 +333,6 @@ validateOptions(const Options &opts)
                std::to_string(opts.clusters) + " cluster(s)";
     if (opts.profileIntervalSet && !opts.profile)
         return "--profile-interval requires --profile";
-    if (opts.epochHorizon != 0 && !opts.mesh)
-        return "--epoch-horizon requires --mesh";
     if (opts.meshWatchdog != 0 && !opts.mesh)
         return "--mesh-watchdog requires --mesh";
     if (opts.fastMode && opts.mesh)
@@ -399,7 +411,6 @@ build(const Options &opts)
     scfg.node.ecc = opts.ecc;
     scfg.machine = mcfg;
     scfg.hostThreads = opts.threads;
-    scfg.epochHorizon = opts.epochHorizon;
     scfg.meshWatchdogCycles = opts.meshWatchdog;
     // The profiler, trace sinks and flight recorder are process-wide,
     // with no per-shard buffering, so an observed mesh runs on one

@@ -1,86 +1,10 @@
 #include "gp/ops.h"
 
-#include "sim/stats.h"
 #include "sim/trace.h"
 
 namespace gp {
 
 namespace {
-
-/**
- * Stats for the checking hardware itself: how often each pointer op
- * runs and, per Fault kind, how often a check fires. Counters are
- * cached as pointers so the hot path (LEA runs on every instruction's
- * IP advance) costs a single indexed increment, not a map lookup.
- */
-struct OpStats
-{
-    sim::StatGroup group{"gp"};
-    sim::Counter *lea;
-    sim::Counter *leab;
-    sim::Counter *restrictOp;
-    sim::Counter *subsegOp;
-    sim::Counter *setptrOp;
-    sim::Counter *accessChecks;
-    sim::Counter *fault[16] = {};
-
-    OpStats()
-    {
-        lea = &group.counter("op_lea");
-        leab = &group.counter("op_leab");
-        restrictOp = &group.counter("op_restrict");
-        subsegOp = &group.counter("op_subseg");
-        setptrOp = &group.counter("op_setptr");
-        accessChecks = &group.counter("access_checks");
-        for (unsigned i = 1; i <= unsigned(kLastFault); ++i) {
-            const Fault f = Fault(i);
-            fault[i] = &group.counter(std::string("fault_") +
-                                      std::string(faultName(f)));
-        }
-    }
-};
-
-OpStats &
-opStats()
-{
-    static OpStats stats;
-    return stats;
-}
-
-/// When set, this host thread counts into the tally instead of the
-/// shared "gp" StatGroup (sharded mesh engine worker threads; see
-/// setThreadOpTallies()). Null on every other thread, including the
-/// engine's own barrier/drain thread.
-thread_local OpTallies *tlsTallies = nullptr;
-
-/// One op-counter bump through the tally indirection. Still a plain
-/// increment either way — no string-keyed lookup on the hot path.
-#define GP_OP_COUNT(field)                                            \
-    do {                                                              \
-        if (OpTallies *t = tlsTallies)                                \
-            t->field++;                                               \
-        else                                                          \
-            (*opStats().field)++;                                     \
-    } while (0)
-
-/** Count a violation by kind; passes the fault through for inline use. */
-inline Fault
-countFault(Fault f)
-{
-    if (f != Fault::None) {
-        const unsigned i = unsigned(f);
-        if (i < 16) {
-            if (OpTallies *t = tlsTallies) {
-                t->fault[i]++;
-            } else {
-                OpStats &s = opStats();
-                if (s.fault[i])
-                    (*s.fault[i])++;
-            }
-        }
-    }
-    return f;
-}
 
 /**
  * Shared head of every pointer-mutating operation: decode and confirm
@@ -90,12 +14,10 @@ Result<PointerView>
 decodeMutable(Word ptr)
 {
     auto dec = decode(ptr);
-    if (!dec) {
-        countFault(dec.fault);
+    if (!dec)
         return dec;
-    }
     if (!addressMutable(dec.value.perm()))
-        return Result<PointerView>::fail(countFault(Fault::Immutable));
+        return Result<PointerView>::fail(Fault::Immutable);
     return dec;
 }
 
@@ -125,7 +47,6 @@ withAddr(Word ptr, uint64_t new_addr)
 Result<Word>
 lea(Word ptr, int64_t delta)
 {
-    GP_OP_COUNT(lea);
     auto dec = decodeMutable(ptr);
     if (!dec)
         return Result<Word>::fail(dec.fault);
@@ -144,7 +65,7 @@ lea(Word ptr, int64_t delta)
                  (unsigned long long)dec.value.segmentBytes(),
                  std::string(permName(dec.value.perm())).c_str(),
                  (unsigned long long)old_addr, (long long)delta);
-        return Result<Word>::fail(countFault(f));
+        return Result<Word>::fail(f);
     }
     return Result<Word>::ok(withAddr(ptr, new_addr));
 }
@@ -152,7 +73,6 @@ lea(Word ptr, int64_t delta)
 Result<Word>
 leab(Word ptr, int64_t delta)
 {
-    GP_OP_COUNT(leab);
     auto dec = decodeMutable(ptr);
     if (!dec)
         return Result<Word>::fail(dec.fault);
@@ -170,7 +90,7 @@ leab(Word ptr, int64_t delta)
                  (unsigned long long)dec.value.segmentBytes(),
                  std::string(permName(dec.value.perm())).c_str(),
                  (long long)delta);
-        return Result<Word>::fail(countFault(f));
+        return Result<Word>::fail(f);
     }
     return Result<Word>::ok(withAddr(ptr, new_addr));
 }
@@ -178,45 +98,42 @@ leab(Word ptr, int64_t delta)
 Result<Word>
 restrictPerm(Word ptr, Perm target)
 {
-    GP_OP_COUNT(restrictOp);
     auto dec = decode(ptr);
     if (!dec)
-        return Result<Word>::fail(countFault(dec.fault));
+        return Result<Word>::fail(dec.fault);
     // Enter and key pointers may not be modified in any way (§2.1).
     const Perm cur = dec.value.perm();
     if (cur == Perm::Key || cur == Perm::EnterUser ||
         cur == Perm::EnterPrivileged) {
-        return Result<Word>::fail(countFault(Fault::Immutable));
+        return Result<Word>::fail(Fault::Immutable);
     }
     if (!permValid(uint64_t(target)))
         return Result<Word>::fail(
-            countFault(Fault::InvalidPermission));
+            Fault::InvalidPermission);
     if (!strictSubset(cur, target))
-        return Result<Word>::fail(countFault(Fault::NotSubset));
+        return Result<Word>::fail(Fault::NotSubset);
     return Result<Word>::ok(restrictUnchecked(ptr, target));
 }
 
 Result<Word>
 subseg(Word ptr, uint64_t new_len_log2)
 {
-    GP_OP_COUNT(subsegOp);
     auto dec = decode(ptr);
     if (!dec)
-        return Result<Word>::fail(countFault(dec.fault));
+        return Result<Word>::fail(dec.fault);
     const Perm cur = dec.value.perm();
     if (cur == Perm::Key || cur == Perm::EnterUser ||
         cur == Perm::EnterPrivileged) {
-        return Result<Word>::fail(countFault(Fault::Immutable));
+        return Result<Word>::fail(Fault::Immutable);
     }
     if (new_len_log2 >= dec.value.lenLog2())
-        return Result<Word>::fail(countFault(Fault::NotSmaller));
+        return Result<Word>::fail(Fault::NotSmaller);
     return Result<Word>::ok(subsegUnchecked(ptr, new_len_log2));
 }
 
 Word
 setptr(uint64_t bits)
 {
-    GP_OP_COUNT(setptrOp);
     return Word::fromRawPointerBits(bits);
 }
 
@@ -310,9 +227,9 @@ accessName(Access kind)
 }
 
 /**
- * Count an access-check violation and record it, with the faulting
- * pointer's full geometry, for the flight recorder (the
- * capability-violation debugging record).
+ * Record an access-check violation, with the faulting pointer's full
+ * geometry, for the flight recorder (the capability-violation
+ * debugging record).
  */
 Fault
 accessFault(Fault f, Access kind, const PointerView &v)
@@ -325,13 +242,13 @@ accessFault(Fault f, Access kind, const PointerView &v)
              (unsigned long long)v.segmentBytes(),
              std::string(permName(v.perm())).c_str(),
              (unsigned long long)v.addr());
-    return countFault(f);
+    return f;
 }
 
 /**
  * The access check's decision on an already-decoded pointer: rights
  * for the access kind, natural alignment, and the access fitting in
- * the segment. Counts and traces nothing (see accessFault()).
+ * the segment. Traces nothing (see accessFault()).
  */
 Fault
 accessFaultOf(const PointerView &v, Access kind, unsigned size_bytes)
@@ -371,10 +288,9 @@ accessFaultOf(const PointerView &v, Access kind, unsigned size_bytes)
 Fault
 checkAccess(Word ptr, Access kind, unsigned size_bytes)
 {
-    GP_OP_COUNT(accessChecks);
     auto dec = decode(ptr);
     if (!dec)
-        return countFault(dec.fault);
+        return dec.fault;
     if (Fault f = accessFaultOf(dec.value, kind, size_bytes);
         f != Fault::None)
         return accessFault(f, kind, dec.value);
@@ -401,10 +317,8 @@ leaForAccess(Word ptr, int64_t delta, Access kind, unsigned size_bytes,
     // The access check. For a nonzero delta lea() already decoded the
     // pointer, and it changes only address bits, so perm/len (and
     // hence rights and segment size) are those already validated.
-    if (accessFaultOf(PointerView(eff), kind, size_bytes) == Fault::None) {
-        GP_OP_COUNT(accessChecks);
-        checked = true;
-    }
+    checked = accessFaultOf(PointerView(eff), kind, size_bytes) ==
+              Fault::None;
     return Result<Word>::ok(eff);
 }
 
@@ -417,7 +331,7 @@ leaCheckAccess(Word ptr, int64_t delta, Access kind,
         leaForAccess(ptr, delta, kind, size_bytes, checked);
     if (!r || checked)
         return r;
-    // The check fails: run it for real, counting and tracing the fault.
+    // The check fails: run it for real, tracing the fault.
     return Result<Word>::fail(checkAccess(r.value, kind, size_bytes));
 }
 
@@ -437,7 +351,7 @@ enterToExecute(Word ptr)
         target = Perm::ExecutePrivileged;
         break;
       default:
-        return Result<Word>::fail(countFault(Fault::NotEnterPointer));
+        return Result<Word>::fail(Fault::NotEnterPointer);
     }
     return Result<Word>::ok(restrictUnchecked(ptr, target));
 }
@@ -447,7 +361,7 @@ jumpTarget(Word dest, bool privileged)
 {
     auto dec = decode(dest);
     if (!dec)
-        return Result<Word>::fail(countFault(dec.fault));
+        return Result<Word>::fail(dec.fault);
 
     switch (dec.value.perm()) {
       case Perm::ExecuteUser:
@@ -458,13 +372,13 @@ jumpTarget(Word dest, bool privileged)
         // pointer may not jump to an arbitrary address inside it.
         if (!privileged)
             return Result<Word>::fail(
-                countFault(Fault::PrivilegeViolation));
+                Fault::PrivilegeViolation);
         return Result<Word>::ok(dest);
       case Perm::EnterUser:
       case Perm::EnterPrivileged:
         return enterToExecute(dest);
       default:
-        return Result<Word>::fail(countFault(Fault::PermissionDenied));
+        return Result<Word>::fail(Fault::PermissionDenied);
     }
 }
 
@@ -473,27 +387,6 @@ ipPrivileged(Word ip)
 {
     auto dec = decode(ip);
     return dec && dec.value.perm() == Perm::ExecutePrivileged;
-}
-
-void
-setThreadOpTallies(OpTallies *tallies)
-{
-    tlsTallies = tallies;
-}
-
-void
-mergeOpTallies(const OpTallies &tallies)
-{
-    OpStats &s = opStats();
-    (*s.lea) += tallies.lea;
-    (*s.leab) += tallies.leab;
-    (*s.restrictOp) += tallies.restrictOp;
-    (*s.subsegOp) += tallies.subsegOp;
-    (*s.setptrOp) += tallies.setptrOp;
-    (*s.accessChecks) += tallies.accessChecks;
-    for (unsigned i = 0; i < 16; ++i)
-        if (tallies.fault[i] != 0 && s.fault[i] != nullptr)
-            (*s.fault[i]) += tallies.fault[i];
 }
 
 } // namespace gp

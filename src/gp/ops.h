@@ -96,8 +96,8 @@ Fault checkAccess(Word ptr, Access kind, unsigned size_bytes);
 /**
  * Fused LEA + access check: derive ptr + delta and verify the
  * access in one pass over a single permission decode. Fault order,
- * fault kinds, counter bumps, and trace events are identical to the
- * split sequence `lea(ptr, delta)` followed by
+ * fault kinds, and trace events are identical to the split
+ * sequence `lea(ptr, delta)` followed by
  * `checkAccess(result, kind, size_bytes)` — a passing access skips
  * the redundant second decode, which is legal because withAddr()
  * preserves every non-address field. delta == 0 degenerates to checkAccess alone
@@ -109,13 +109,11 @@ Result<Word> leaCheckAccess(Word ptr, int64_t delta, Access kind,
 
 /**
  * leaCheckAccess() for a caller whose memory port runs the access
- * check's fault path: the LEA half counts, traces, and faults exactly
- * like lea(). Then @p checked tells whether the access check passes.
- * If it does, it is counted as having run, and the port may skip it.
- * If it does not, nothing is counted or traced for it: the caller
- * runs the access with the port's check, which raises the fault with
- * the usual accounting. Either way the totals equal the split
- * sequence's.
+ * check's fault path: the LEA half traces and faults exactly like
+ * lea(). Then @p checked tells whether the access check passes. If
+ * it does, the port may skip it. If it does not, nothing is traced
+ * for it: the caller runs the access with the port's check, which
+ * raises and traces the fault as the split sequence would.
  */
 Result<Word> leaForAccess(Word ptr, int64_t delta, Access kind,
                           unsigned size_bytes, bool &checked);
@@ -127,9 +125,8 @@ Result<Word> leaForAccess(Word ptr, int64_t delta, Access kind,
  * corresponding checked operation on its non-faulting path; calling
  * one where the checked operation would fault is a soundness bug —
  * the verifier's kElideNeverFaults verdict is the proof obligation
- * that makes the call legal. The checking-hardware OpStats counters
- * are deliberately not bumped (the check never ran); the machine's
- * elide counters account for the skipped work instead.
+ * that makes the call legal. The machine's elide counters account
+ * for the skipped work.
  */
 Word leaUnchecked(Word ptr, int64_t delta);
 Word leabUnchecked(Word ptr, int64_t delta);
@@ -156,33 +153,6 @@ Result<Word> jumpTarget(Word dest, bool privileged);
 
 /** @return true when the given IP word confers privileged mode. */
 bool ipPrivileged(Word ip);
-
-/**
- * Per-thread tallies for the "gp" pointer-op counters. The sharded
- * mesh engine routes each worker thread's counting here (plain
- * uint64 increments, no sharing) and merges the tallies into the
- * real StatGroup counters when the run finishes, so the exported
- * totals are identical to a sequential run's.
- */
-struct OpTallies
-{
-    uint64_t lea = 0;
-    uint64_t leab = 0;
-    uint64_t restrictOp = 0;
-    uint64_t subsegOp = 0;
-    uint64_t setptrOp = 0;
-    uint64_t accessChecks = 0;
-    uint64_t fault[16] = {};
-};
-
-/**
- * Route this host thread's op counting into @p tallies (nullptr
- * restores direct counting into the "gp" StatGroup, the default).
- */
-void setThreadOpTallies(OpTallies *tallies);
-
-/** Add @p tallies into the process-wide "gp" counters. */
-void mergeOpTallies(const OpTallies &tallies);
 
 } // namespace gp
 

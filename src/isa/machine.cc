@@ -11,6 +11,9 @@ namespace gp::isa {
 
 namespace {
 
+/// Integer multiply latency, in cycles.
+constexpr uint64_t kMulLatency = 3;
+
 /** Retired-instruction mix classes (indices into Machine::mix_). */
 enum InstClass : unsigned
 {
@@ -321,15 +324,6 @@ Machine::step()
         stepCluster(c);
     cycle_++;
     (*cycles_)++;
-    // Tick-scheduled fault sites (resident-memory flips etc.): one
-    // static-bool test when no campaign is armed. The sharded mesh
-    // engine suppresses the per-machine tick and ticks the injector
-    // centrally at the epoch barrier instead, so draw order does not
-    // depend on the host-thread count.
-    if (!config_.externalInjectorTick && sim::FaultInjector::armed())
-        sim::FaultInjector::instance().tick(cycle_);
-    if (sim::Profiler::armed())
-        sim::Profiler::instance().tick(cycle_);
     if ((config_.watchdogCycles != 0 ||
          config_.watchdogQuiescence != 0) &&
         !watchdogTripped_)
@@ -447,6 +441,15 @@ Machine::run(uint64_t max_cycles)
     while (!done && cycle_ - start < max_cycles) {
         readyMayHaveShrunk_ = false;
         step();
+        // A lone machine owns its clock: tick the tick-scheduled
+        // fault sites (resident-memory flips etc.), then the
+        // profiler's interval snapshots. One static-bool test each
+        // when nothing is armed. A mesh ticks both at its epoch
+        // barrier instead.
+        if (sim::FaultInjector::armed())
+            sim::FaultInjector::instance().tick(cycle_);
+        if (sim::Profiler::armed())
+            sim::Profiler::instance().tick(cycle_);
         if (readyMayHaveShrunk_)
             done = allDone();
     }
@@ -907,7 +910,7 @@ Machine::execute(Thread &thread, const PredecodedInst &slot,
         break;
       case Op::MUL:
         alu(ra.bits() * rb.bits());
-        done = ready_at + config_.mulLatency;
+        done = ready_at + kMulLatency;
         break;
       case Op::AND:
         alu(ra.bits() & rb.bits());

@@ -51,7 +51,6 @@ struct MachineConfig
      */
     unsigned issueWidth = 1;
     mem::MemConfig mem;             //!< shared memory system
-    uint64_t mulLatency = 3;        //!< integer multiply latency
     uint64_t faultTrapCycles = 50;  //!< software fault-handler cost
 
     /**
@@ -73,15 +72,6 @@ struct MachineConfig
      * 0 = no quiescence watchdog.
      */
     uint64_t watchdogQuiescence = 0;
-
-    /**
-     * The embedding engine ticks the FaultInjector itself (sharded
-     * mesh: one central tick per simulated cycle at the epoch
-     * barrier, so draw order is identical for any host-thread
-     * count). When set, step() does not tick the injector. The
-     * default (false) keeps today's per-machine tick.
-     */
-    bool externalInjectorTick = false;
 
     /**
      * Functional-only execution (gpsim --fast): run instructions
@@ -149,12 +139,18 @@ class Machine
     /** Start a thread on a specific cluster. */
     Thread *spawnOnCluster(unsigned cluster, Word entry_ip);
 
-    /** Advance the machine by one cycle. */
+    /**
+     * Advance the machine by one cycle. Ticks no process-wide clock:
+     * whoever owns the simulated clock ticks the FaultInjector and
+     * the Profiler (run() for a lone machine, the epoch barrier for
+     * a mesh).
+     */
     void step();
 
     /**
      * Run until every thread has halted or faulted, or until max_cycles
-     * elapse. @return the number of cycles executed.
+     * elapse, ticking the FaultInjector and then the Profiler after
+     * every step(). @return the number of cycles executed.
      */
     uint64_t run(uint64_t max_cycles = 1'000'000);
 

@@ -9,6 +9,14 @@
 
 namespace gp::mem {
 
+namespace {
+
+/// Check/correct latency charged on the external-interface path per
+/// filled line when ECC is on, in cycles.
+constexpr uint64_t kEccCycles = 1;
+
+} // namespace
+
 MemorySystem::MemorySystem(const MemConfig &config)
     : config_(config),
       pageTable_(config.pageBytes),
@@ -208,10 +216,10 @@ MemorySystem::timedAccess(Word ptr, Access kind, unsigned size,
     if (config_.ecc != EccMode::None) {
         // Check/correct logic sits on the external interface: one
         // codec pass per filled line.
-        busy += config_.eccCycles;
+        busy += kEccCycles;
         if (sim::Profiler::armed())
             sim::Profiler::instance().accSeg(sim::ProfComp::Ecc,
-                                             config_.eccCycles);
+                                             kEccCycles);
     }
     if (cr.writeback) {
         busy += config_.timing.writeback;

@@ -54,9 +54,6 @@ struct MemConfig
     /** Hardening code over every stored 65-bit word (off by default
      * so baseline timing/storage is unchanged). */
     EccMode ecc = EccMode::None;
-    /** Check/correct latency charged on the external-interface path
-     * per filled line when ecc != None. */
-    uint64_t eccCycles = 1;
     /** Extra page-walk attempts after a transient walk failure; 0
      * means a transient failure is immediately uncorrectable. */
     unsigned walkRetries = 0;

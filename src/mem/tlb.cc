@@ -14,8 +14,6 @@ Tlb::Tlb(size_t entries) : capacity_(entries)
     misses_ = &stats_.counter("misses");
     evictions_ = &stats_.counter("evictions");
     invalidations_ = &stats_.counter("invalidations");
-    injectedCorruptions_ = &stats_.counter("injected_corruptions");
-    injectedInvalidations_ = &stats_.counter("injected_invalidations");
     fullFlushes_ = &stats_.counter("full_flushes");
     asidFlushes_ = &stats_.counter("asid_flushes");
     entriesFlushed_ = &stats_.counter("entries_flushed");
@@ -77,7 +75,6 @@ Tlb::corruptRandom(sim::Rng &rng)
     // bits so the corrupted translation stays inside the modelled
     // physical space yet names the wrong frame.
     it->pfn ^= uint64_t(1) << rng.below(20);
-    (*injectedCorruptions_)++;
     return true;
 }
 
@@ -90,7 +87,6 @@ Tlb::invalidateRandom(sim::Rng &rng)
     std::advance(it, rng.below(lru_.size()));
     map_.erase(it->key);
     lru_.erase(it);
-    (*injectedInvalidations_)++;
     return true;
 }
 

@@ -114,8 +114,6 @@ class Tlb
     sim::Counter *misses_ = nullptr;
     sim::Counter *evictions_ = nullptr;
     sim::Counter *invalidations_ = nullptr;
-    sim::Counter *injectedCorruptions_ = nullptr;
-    sim::Counter *injectedInvalidations_ = nullptr;
     sim::Counter *fullFlushes_ = nullptr;
     sim::Counter *asidFlushes_ = nullptr;
     sim::Counter *entriesFlushed_ = nullptr;

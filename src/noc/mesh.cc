@@ -220,7 +220,7 @@ Mesh::trySend(unsigned from, unsigned to, uint64_t now, unsigned flits)
     // A BFS route is never shorter than the Manhattan distance.
     const uint64_t extra_hops = blocked ? route_.size() - hops(from, to) : 0;
     if (extra_hops > 0) {
-        t += extra_hops * config_.detourPenalty;
+        t += extra_hops * kDetourPenalty;
         detours_++;
     }
     const uint64_t done = t + config_.injectLatency + flits - 1;

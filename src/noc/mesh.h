@@ -28,12 +28,13 @@ struct MeshConfig
     unsigned dimZ = 2;        //!< Z planes
     uint64_t hopLatency = 2;  //!< router + wire traversal per hop
     uint64_t injectLatency = 1; //!< network interface entry/exit
-    /** Extra cycles charged per hop a detour route takes beyond the
-     * Manhattan distance (adaptive-routing table lookup + the longer
-     * path's occupancy). Only reachable once the fabric is degraded —
-     * a healthy mesh never detours. */
-    uint64_t detourPenalty = 1;
 };
+
+/** Extra cycles charged per hop a detour route takes beyond the
+ * Manhattan distance (adaptive-routing table lookup + the longer
+ * path's occupancy). Only reachable once the fabric is degraded — a
+ * healthy mesh never detours. */
+inline constexpr uint64_t kDetourPenalty = 1;
 
 /** Node coordinates. */
 struct Coord
@@ -78,7 +79,7 @@ class Mesh
      * traffic on every link it crosses. Once the fabric is degraded()
      * and that route crosses a dead link or node, it takes the
      * deterministic shortest detour instead (breadth-first, fixed
-     * +x/-x/+y/-y/+z/-z direction order), charging detourPenalty extra
+     * +x/-x/+y/-y/+z/-z direction order), charging kDetourPenalty extra
      * cycles per hop beyond the Manhattan distance; pairs whose route
      * avoids the damage see exactly the healthy fabric's timing. A
      * dead endpoint or a partitioned pair is returned as not

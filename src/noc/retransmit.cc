@@ -10,6 +10,16 @@ namespace gp::noc {
 using sim::FaultInjector;
 using sim::FaultSite;
 
+namespace {
+
+/// Upper bound (exclusive) on a drawn NocDelay, in extra cycles.
+constexpr uint64_t kNocDelayMax = 32;
+
+/// Size of an ack message, in flits.
+constexpr unsigned kAckFlits = 1;
+
+} // namespace
+
 Retransmitter::Retransmitter(Mesh &mesh, const RetransConfig &config,
                              const std::string &statName)
     : mesh_(mesh), cfg_(config), stats_(statName)
@@ -55,9 +65,7 @@ Retransmitter::rawTransfer(unsigned from, unsigned to, uint64_t now,
     if (FaultInjector::armed()) {
         auto &inj = FaultInjector::instance();
         if (inj.fire(FaultSite::NocDelay))
-            extra = inj.drawBelow(FaultSite::NocDelay,
-                                  inj.config().nocDelayMax) +
-                    1;
+            extra = inj.drawBelow(FaultSite::NocDelay, kNocDelayMax) + 1;
 
         if (inj.fire(FaultSite::NocDrop)) {
             // The message vanishes; no protocol exists to notice.
@@ -116,9 +124,7 @@ Retransmitter::reliableTransfer(unsigned from, unsigned to,
         uint64_t extra = 0;
         if (FaultInjector::armed() &&
             inj.fire(FaultSite::NocDelay))
-            extra = inj.drawBelow(FaultSite::NocDelay,
-                                  inj.config().nocDelayMax) +
-                    1;
+            extra = inj.drawBelow(FaultSite::NocDelay, kNocDelayMax) + 1;
 
         // Data message loss: either a genuine drop or a CRC-detected
         // corruption (the receiver discards the mangled copy).
@@ -160,7 +166,7 @@ Retransmitter::reliableTransfer(unsigned from, unsigned to,
         // suppresses the duplicate data and re-acks.
         (*statAcks_)++;
         const Mesh::SendOutcome ack =
-            mesh_.trySend(to, from, dataArrive, cfg_.ackFlits);
+            mesh_.trySend(to, from, dataArrive, kAckFlits);
         if (!ack.delivered) {
             sawUnreachable = true;
             (*statAckLosses_)++;

@@ -16,7 +16,7 @@
  *  - per-(src,dst) sequence numbers on every message;
  *  - a CRC per message, so in-flight payload corruption is detected
  *    and the copy discarded (equivalent to a drop);
- *  - positive acks (an ackFlits-sized message back over the mesh,
+ *  - positive acks (a one-flit message back over the mesh,
  *    occupying links like any other traffic);
  *  - sender timeout with exponential backoff, bounded attempts;
  *  - receiver duplicate suppression by sequence number.
@@ -45,8 +45,6 @@ struct RetransConfig
     uint64_t timeout = 64;
     /** Total send attempts before the transfer is abandoned. */
     unsigned maxAttempts = 5;
-    /** Size of an ack message in flits. */
-    unsigned ackFlits = 1;
 };
 
 /** Outcome of one end-to-end transfer attempt sequence. */

@@ -5,6 +5,7 @@
 
 #include "sim/faultinject.h"
 #include "sim/log.h"
+#include "sim/profile.h"
 
 namespace gp::noc {
 
@@ -23,10 +24,7 @@ ShardedMesh::ShardedMesh(const ShardConfig &config)
 
     global_.setEccMode(config_.node.ecc);
 
-    // The engine owns injector ticking (one central tick per
-    // simulated cycle at the barrier); machines must not also tick.
-    isa::MachineConfig mcfg = config_.machine;
-    mcfg.externalInjectorTick = true;
+    const isa::MachineConfig &mcfg = config_.machine;
 
     nodes_.reserve(nodes);
     machines_.reserve(nodes);
@@ -61,29 +59,14 @@ ShardedMesh::ShardedMesh(const ShardConfig &config)
     }
 
     live_.assign(nodes, 1);
-    tallies_.resize(hostThreads_);
     for (unsigned s = 0; s < hostThreads_; ++s) {
         shardStats_.push_back(std::make_unique<sim::StatGroup>(
             "shard" + std::to_string(s)));
         sim::StatGroup &g = *shardStats_.back();
         shardCounters_.push_back({&g.counter("nodes"),
                                   &g.counter("busy_cycles"),
-                                  &g.counter("instructions"),
-                                  &g.counter("mesh_messages"),
-                                  &g.counter("mesh_flits"),
-                                  &g.counter("mesh_link_stall_cycles"),
-                                  &g.counter("mesh_hops")});
+                                  &g.counter("instructions")});
     }
-    // Handles for the drain-time attribution snapshots. These are
-    // the mesh's OWN counters (already in the signature); the
-    // per-node tallies derived from them live outside every stat
-    // group and cannot move blessed signatures.
-    sim::StatGroup &ms = mesh_.stats();
-    meshTrafficCounters_ = {&ms.counter("messages"),
-                            &ms.counter("flits"),
-                            &ms.counter("link_stall_cycles"),
-                            &ms.counter("hops_traversed")};
-    nodeMeshTallies_.assign(nodes, {});
     exportShardStats();
 
     if (hostThreads_ > 1) {
@@ -157,7 +140,6 @@ ShardedMesh::simulateShard(unsigned shard)
 void
 ShardedMesh::workerLoop(unsigned shard)
 {
-    gp::setThreadOpTallies(&tallies_[shard]);
     for (;;) {
         startBarrier_->arriveAndWait();
         if (stop_.load(std::memory_order_acquire))
@@ -165,7 +147,6 @@ ShardedMesh::workerLoop(unsigned shard)
         simulateShard(shard);
         endBarrier_->arriveAndWait();
     }
-    gp::setThreadOpTallies(nullptr);
 }
 
 void
@@ -233,9 +214,10 @@ ShardedMesh::applyMeshFaults()
 void
 ShardedMesh::drainEpoch()
 {
-    // Central injector ticks: machines stepped cycles [from, to) and
-    // each step would have ticked its post-increment cycle, i.e.
-    // (from, to]. One canonical pass replaces all per-machine ticks.
+    // Central injector ticks for the cycles the machines stepped,
+    // [from, to). Like a lone machine's run(), each tick carries the
+    // post-increment cycle, i.e. (from, to], in one canonical order
+    // for every host-thread count.
     if (sim::FaultInjector::armed()) {
         auto &inj = sim::FaultInjector::instance();
         for (uint64_t c = epochFrom_; c < epochTo_; ++c)
@@ -262,21 +244,8 @@ ShardedMesh::drainEpoch()
                 deadOpsDropped_++;
                 continue;
             }
-            // Attribute the mesh traffic this resolution causes to
-            // its POSTING node, not to the barrier in bulk: snapshot
-            // the mesh counters around the resolve and bank the
-            // delta. The drain order is canonical, so the per-node
-            // attribution is a pure function of the simulated
-            // schedule — identical for every host-thread count.
-            std::array<uint64_t, kTallyCount> before;
-            for (unsigned k = 0; k < kTallyCount; ++k)
-                before[k] = meshTrafficCounters_[k]->value();
-            const mem::MemAccess acc =
-                nodes_[op.node]->resolveDeferred(op);
-            for (unsigned k = 0; k < kTallyCount; ++k)
-                nodeMeshTallies_[op.node][k] +=
-                    meshTrafficCounters_[k]->value() - before[k];
-            machines_[op.node]->completeDeferred(op.ticket, acc);
+            machines_[op.node]->completeDeferred(
+                op.ticket, nodes_[op.node]->resolveDeferred(op));
         }
         ops = exchange_.drain();
     }
@@ -289,6 +258,12 @@ ShardedMesh::drainEpoch()
         if (!mesh_.nodeDead(n) && machines_[n]->hasDeferred())
             sim::panic("sharded mesh: node %u still holds a split "
                        "transaction after the epoch drain", n);
+
+    // One profiler tick per barrier, once the drain has attributed
+    // the completed split transactions: interval edges fall on
+    // epoch boundaries.
+    if (sim::Profiler::armed())
+        sim::Profiler::instance().tick(cycle_);
 
     refreshLive();
 }
@@ -455,12 +430,6 @@ ShardedMesh::run(uint64_t max_cycles)
         if (!done && config_.meshWatchdogCycles != 0)
             checkMeshWatchdog();
     }
-    // Deterministic merge of the worker tallies into the real "gp"
-    // counters, in shard order; totals now equal a sequential run's.
-    for (unsigned s = 1; s < hostThreads_; ++s) {
-        gp::mergeOpTallies(tallies_[s]);
-        tallies_[s] = gp::OpTallies{};
-    }
     exportShardStats();
     if (!done)
         sim::warn("sharded mesh: run() hit the %llu-cycle limit",
@@ -475,7 +444,6 @@ ShardedMesh::exportShardStats()
         const auto [first, last] = shardRange_[s];
         uint64_t busy = 0;
         uint64_t insts = 0;
-        std::array<uint64_t, kTallyCount> traffic{};
         for (unsigned n = first; n < last; ++n) {
             isa::Machine &m = *machines_[n];
             const uint64_t cluster_cycles =
@@ -485,16 +453,10 @@ ShardedMesh::exportShardStats()
             busy += cluster_cycles > idle ? cluster_cycles - idle : 0;
             insts += m.stats().get( // statgroup-get: cold path
                 "instructions");
-            for (unsigned k = 0; k < kTallyCount; ++k)
-                traffic[k] += nodeMeshTallies_[n][k];
         }
         shardCounters_[s].nodes->set(last - first);
         shardCounters_[s].busy->set(busy);
         shardCounters_[s].insts->set(insts);
-        shardCounters_[s].meshMessages->set(traffic[kTallyMessages]);
-        shardCounters_[s].meshFlits->set(traffic[kTallyFlits]);
-        shardCounters_[s].meshStalls->set(traffic[kTallyStallCycles]);
-        shardCounters_[s].meshHops->set(traffic[kTallyHops]);
     }
 }
 

@@ -24,14 +24,12 @@
  *    (issue cycle, node, ticket) order on one thread and delivers
  *    each outcome back via Machine::completeDeferred().
  *
- *  - Singleton discipline. Worker threads count pointer ops into
- *    thread-local tallies merged deterministically at run end
- *    (gp::setThreadOpTallies); the FaultInjector is ticked centrally
- *    at the barrier, once per simulated cycle, with the per-machine
- *    tick suppressed (MachineConfig::externalInjectorTick), so fault
- *    draws happen in one canonical order; per-node/per-machine
- *    StatGroups are only ever touched by their owning shard or the
- *    barrier thread.
+ *  - Singleton discipline. Machine::step() ticks no process-wide
+ *    clock, so the barrier thread ticks the FaultInjector once per
+ *    simulated cycle of the epoch and the Profiler once per epoch,
+ *    and fault draws happen in one canonical order; per-node/
+ *    per-machine StatGroups are only ever touched by their owning
+ *    shard or the barrier thread.
  *
  * The schedule the engine executes is therefore a fixed function of
  * the configuration and programs alone: thread count only changes
@@ -45,7 +43,6 @@
 #ifndef GP_NOC_SHARD_H
 #define GP_NOC_SHARD_H
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
@@ -113,8 +110,8 @@ class ShardedMesh
 
     /**
      * Run epochs until every machine is done or @p max_cycles more
-     * cycles elapse. Also merges worker op tallies and refreshes the
-     * per-shard stat groups before returning.
+     * cycles elapse. Also refreshes the per-shard stat groups before
+     * returning.
      * @return cycles executed by this call.
      */
     uint64_t run(uint64_t max_cycles = 1'000'000);
@@ -166,30 +163,6 @@ class ShardedMesh
      */
     uint64_t signature() const;
 
-    /** Index into a node's mesh-traffic attribution array. */
-    enum MeshTally : unsigned
-    {
-        kTallyMessages = 0,
-        kTallyFlits,
-        kTallyStallCycles,
-        kTallyHops,
-        kTallyCount
-    };
-
-    /**
-     * Mesh traffic attributed to node @p n as the *poster* of the
-     * remote accesses that caused it: messages, flits, link stall
-     * cycles, and hops, accumulated at resolve time in the canonical
-     * drain order. A pure function of the simulated schedule —
-     * identical for every host-thread count (unlike the per-shard
-     * sums, which follow the shard boundaries).
-     */
-    const std::array<uint64_t, kTallyCount> &
-    nodeMeshTraffic(unsigned n) const
-    {
-        return nodeMeshTallies_[n];
-    }
-
   private:
     /** Sense-reversing spin barrier (small party counts, short
      * epochs: spinning beats futex wake latency; std::atomic keeps
@@ -236,7 +209,7 @@ class ShardedMesh
     /** Barrier phase: central injector ticks for the finished epoch,
      * then per-epoch mesh fault arming, then canonical drain of the
      * exchange (rounds, because a completed remote fetch may
-     * immediately defer a remote load). */
+     * immediately defer a remote load), then one profiler tick. */
     void drainEpoch();
 
     /** One Bernoulli opportunity per epoch for each mesh-scale
@@ -286,10 +259,6 @@ class ShardedMesh
     uint64_t epochFrom_ = 0;
     uint64_t epochTo_ = 0;
 
-    /// Per-shard pointer-op tallies (index 0 unused: shard 0 runs on
-    /// the caller and counts directly).
-    std::vector<gp::OpTallies> tallies_;
-
     // Mesh-resilience state (raw members, not stat counters: a
     // disarmed run's signature must stay byte-identical to the
     // pre-resilience baselines; signature() mixes these only once
@@ -305,27 +274,14 @@ class ShardedMesh
     /// stays deterministic — no host time.
     std::vector<std::unique_ptr<sim::StatGroup>> shardStats_;
     /// Cached handles into shardStats_ (nodes, busy_cycles,
-    /// instructions, and the mesh-traffic attribution counters),
-    /// registered once at construction.
+    /// instructions), registered once at construction.
     struct ShardCounters
     {
         sim::Counter *nodes;
         sim::Counter *busy;
         sim::Counter *insts;
-        sim::Counter *meshMessages;
-        sim::Counter *meshFlits;
-        sim::Counter *meshStalls;
-        sim::Counter *meshHops;
     };
     std::vector<ShardCounters> shardCounters_;
-
-    /// Cached handles into the mesh's own counters, snapshotted
-    /// around each drain resolution to attribute the delta.
-    std::array<sim::Counter *, kTallyCount> meshTrafficCounters_{};
-    /// Per-node poster-attributed mesh traffic (see
-    /// nodeMeshTraffic()); summed over each shard's node range by
-    /// exportShardStats().
-    std::vector<std::array<uint64_t, kTallyCount>> nodeMeshTallies_;
 };
 
 } // namespace gp::noc

@@ -8,9 +8,17 @@
 
 namespace gp::os {
 
+namespace {
+
+/// The managed VA region: base address and log2 size in bytes.
+constexpr uint64_t kHeapBase = uint64_t(1) << 32;
+constexpr uint64_t kHeapLog2 = 32;
+
+} // namespace
+
 Kernel::Kernel(const KernelConfig &config)
     : machine_(config.machine),
-      segments_(machine_.mem(), config.heapBase, config.heapLog2)
+      segments_(machine_.mem(), kHeapBase, kHeapLog2)
 {
 }
 

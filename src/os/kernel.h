@@ -31,8 +31,6 @@ namespace gp::os {
 struct KernelConfig
 {
     isa::MachineConfig machine;
-    uint64_t heapBase = uint64_t(1) << 32; //!< managed VA region base
-    uint64_t heapLog2 = 32;                //!< managed VA region size
 };
 
 /** A loaded program's linkage pointers. */

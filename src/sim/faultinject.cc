@@ -36,7 +36,6 @@ FaultInjector::arm(const FaultConfig &cfg)
         // constant, so each site's draw sequence is independent of
         // every other site's opportunity count.
         streams_[i] = Rng(deriveSeed(cfg.seed, i));
-        fired_[i] = 0;
     }
     stats_.resetAll();
     armed_ = true;
@@ -52,7 +51,6 @@ FaultInjector::disarm()
 void
 FaultInjector::countFired(unsigned i)
 {
-    fired_[i]++;
     if (!firedCounters_[i])
         firedCounters_[i] = &stats_.counter(
             "fired." + std::string(faultSiteName(FaultSite(i))));
@@ -86,15 +84,16 @@ FaultInjector::clearTickTargets()
 uint64_t
 FaultInjector::injected(FaultSite site) const
 {
-    return fired_[static_cast<unsigned>(site)];
+    const Counter *c = firedCounters_[static_cast<unsigned>(site)];
+    return c ? c->value() : 0;
 }
 
 uint64_t
 FaultInjector::injectedTotal() const
 {
     uint64_t total = 0;
-    for (const auto f : fired_)
-        total += f;
+    for (const Counter *c : firedCounters_)
+        total += c ? c->value() : 0;
     return total;
 }
 

@@ -129,9 +129,6 @@ struct FaultConfig
      */
     double rate[kFaultSiteCount] = {};
 
-    /** Upper bound (exclusive) on drawn NocDelay extra cycles. */
-    uint64_t nocDelayMax = 32;
-
     /** Maximum burst length for CacheLineBurst flips, in bits. */
     uint64_t burstMaxBits = 4;
 };
@@ -206,9 +203,10 @@ class FaultInjector
 
     /**
      * One machine cycle: give every tick-target site one Bernoulli
-     * opportunity, in ascending site order. Called from
-     * Machine::step() under an armed() guard so the disarmed cost is
-     * the flag test alone; a site without a hook costs nothing.
+     * opportunity, in ascending site order. Called once per cycle by
+     * Machine::run() or the mesh's epoch barrier under an armed()
+     * guard, so the disarmed cost is the flag test alone; a site
+     * without a hook costs nothing.
      */
     void
     tick(uint64_t cycle)
@@ -223,7 +221,8 @@ class FaultInjector
         }
     }
 
-    /** Injections fired at @p site since arm(). */
+    /** Injections fired at @p site since arm() (its "fired.<site>"
+     * counter; 0 while it has never fired). */
     uint64_t injected(FaultSite site) const;
 
     /** Total injections fired since arm(). */
@@ -246,10 +245,10 @@ class FaultInjector
     /** The sites with a hook, ascending: what tick() visits. */
     uint8_t tickSites_[kFaultSiteCount] = {};
     unsigned tickCount_ = 0;
-    uint64_t fired_[kFaultSiteCount] = {};
     StatGroup stats_{"faultinject"};
     /** Each site's "fired.<site>" counter, registered on its first
-     * fire so the exported set names only sites that fired. */
+     * fire so the exported set names only sites that fired; the one
+     * count of each site's injections. */
     Counter *firedCounters_[kFaultSiteCount] = {};
 };
 

@@ -363,8 +363,15 @@ Profiler::attrStall(unsigned slot, uint64_t cycle)
 void
 Profiler::tick(uint64_t cycle)
 {
-    if (config_.interval && config_.intervalCycles &&
-        cycle % config_.intervalCycles == 0 && cycle != 0)
+    if (!config_.interval || config_.intervalCycles == 0)
+        return;
+    // One snapshot once the tick reaches or passes the next multiple
+    // of the period after the last snapshot, however many multiples
+    // it passed: a lone machine ticks every cycle and hits each one,
+    // a mesh ticks at its epoch barriers.
+    const uint64_t period = config_.intervalCycles;
+    const uint64_t last = intervals_.empty() ? 0 : intervals_.back().cycle;
+    if (cycle >= (last / period + 1) * period)
         snapshotInterval(cycle);
 }
 

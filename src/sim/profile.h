@@ -216,7 +216,12 @@ class Profiler
      */
     void attrStall(unsigned slot, uint64_t cycle);
 
-    /** Per-machine-cycle tick: drives the interval snapshots. */
+    /**
+     * Clock tick from whoever owns the simulated clock (every cycle
+     * for a lone machine, every epoch barrier for a mesh): takes one
+     * interval snapshot, labelled @p cycle, once @p cycle reaches or
+     * passes the next multiple of the period.
+     */
     void tick(uint64_t cycle);
 
     // ---- results -------------------------------------------------
@@ -275,7 +280,7 @@ class Profiler
     /** One interval snapshot (interval mode). */
     struct Interval
     {
-        uint64_t cycle = 0; //!< machine cycle at snapshot
+        uint64_t cycle = 0; //!< cycle of the tick that took it
         uint64_t insts = 0; //!< instructions in the interval
         uint64_t comp[kProfCompCount] = {}; //!< cluster-cycle deltas
     };

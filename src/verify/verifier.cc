@@ -549,8 +549,8 @@ class Analyzer
     {
         progWords_ = uint32_t(words.size());
         const uint64_t min_bytes = 8 * std::max<uint64_t>(1, words.size());
-        codeLen_ = opts.codeLenLog2 ? opts.codeLenLog2
-                                    : isa::segLenFor(min_bytes);
+        // The code segment the loader would place the image in.
+        codeLen_ = isa::segLenFor(min_bytes);
         capWords_ = uint32_t((uint64_t(1) << codeLen_) / 8);
         priv_ = opts.privileged;
         insts_.reserve(progWords_);

@@ -242,10 +242,6 @@ struct VerifyOptions
     /// r2 = integer thread index, others zero).
     std::map<unsigned, AbsVal> entryRegs;
 
-    /// Log2 length of the code segment the image is loaded into.
-    /// 0 = derive with isa::segLenFor(8 * words), the loader default.
-    uint64_t codeLenLog2 = 0;
-
     /// Extra basic-block leader indices (assembler label metadata);
     /// verifyProgram fills this from Assembly::labels.
     std::vector<uint32_t> leaderHints;

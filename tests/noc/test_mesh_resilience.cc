@@ -61,7 +61,7 @@ TEST(MeshResilience, LinkFailureForcesDetourWithPenalty)
 {
     // Kill the one-hop +x link 0->1 (default 4x2x2 mesh). The
     // dim-order route dies; the BFS detour goes around in 3 hops
-    // and pays detourPenalty per hop beyond the Manhattan distance.
+    // and pays kDetourPenalty per hop beyond the Manhattan distance.
     Mesh mesh;
     mesh.failLink(0, 0);
     EXPECT_TRUE(mesh.degraded());
@@ -73,7 +73,7 @@ TEST(MeshResilience, LinkFailureForcesDetourWithPenalty)
     EXPECT_EQ(mesh.detourCount(), 1u);
     const MeshConfig &mc = mesh.config();
     const uint64_t expect = 1000 + 2 * mc.injectLatency +
-                            3 * mc.hopLatency + 2 * mc.detourPenalty;
+                            3 * mc.hopLatency + 2 * kDetourPenalty;
     EXPECT_EQ(o.cycle, expect);
 
     // The reverse link 1->0 is untouched: dim-order, no detour.

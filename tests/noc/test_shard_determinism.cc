@@ -173,79 +173,6 @@ TEST(ShardDeterminism, ShardRangesPartitionTheMesh)
     EXPECT_EQ(prev, shard.hostThreads() - 1);
 }
 
-/**
- * Per-node mesh-traffic attribution (poster-attributed at resolve
- * time in the canonical drain order). Regression for the bulk-charge
- * bug: traffic used to be observable only as mesh-wide totals
- * accumulated at the barrier, so per-shard accounting was impossible
- * and anything derived from it silently depended on the host-thread
- * count. The per-NODE attribution must be a pure function of the
- * simulated schedule — identical for t1 and t4 — and must conserve
- * the mesh totals exactly.
- */
-struct TrafficAttribution
-{
-    std::vector<std::array<uint64_t, ShardedMesh::kTallyCount>>
-        perNode;
-    std::array<uint64_t, ShardedMesh::kTallyCount> meshTotals{};
-};
-
-TrafficAttribution
-runAttribution(unsigned hostThreads)
-{
-    ShardConfig cfg = meshConfig(hostThreads);
-    ShardedMesh shard(cfg);
-
-    isa::Assembly a = isa::assemble(kTrafficSrc);
-    EXPECT_TRUE(a.ok) << a.error;
-    auto full = makePointer(Perm::ReadWrite, 54, 0);
-    EXPECT_TRUE(full);
-    for (unsigned n = 0; n < shard.nodeCount(); ++n) {
-        auto prog = isa::loadProgram(shard.node(n),
-                                     nodeBase(n) + 0x20000, a.words);
-        isa::Thread *t = shard.machine(n).spawn(prog.execPtr);
-        EXPECT_NE(t, nullptr);
-        t->setReg(1, full.value);
-        t->setReg(2, Word::fromInt(n));
-    }
-    shard.run(200000);
-
-    TrafficAttribution r;
-    for (unsigned n = 0; n < shard.nodeCount(); ++n)
-        r.perNode.push_back(shard.nodeMeshTraffic(n));
-    r.meshTotals = {shard.mesh().stats().get("messages"),
-                    shard.mesh().stats().get("flits"),
-                    shard.mesh().stats().get("link_stall_cycles"),
-                    shard.mesh().stats().get("hops_traversed")};
-    return r;
-}
-
-TEST(ShardTrafficAttribution, PerNodeIdenticalAcrossHostThreads)
-{
-    const TrafficAttribution t1 = runAttribution(1);
-    const TrafficAttribution t4 = runAttribution(4);
-    ASSERT_EQ(t1.perNode.size(), t4.perNode.size());
-    for (size_t n = 0; n < t1.perNode.size(); ++n)
-        for (unsigned k = 0; k < ShardedMesh::kTallyCount; ++k)
-            EXPECT_EQ(t1.perNode[n][k], t4.perNode[n][k])
-                << "node " << n << " tally " << k;
-}
-
-TEST(ShardTrafficAttribution, AttributionConservesMeshTotals)
-{
-    const TrafficAttribution r = runAttribution(2);
-    std::array<uint64_t, ShardedMesh::kTallyCount> sums{};
-    for (const auto &node : r.perNode)
-        for (unsigned k = 0; k < ShardedMesh::kTallyCount; ++k)
-            sums[k] += node[k];
-    for (unsigned k = 0; k < ShardedMesh::kTallyCount; ++k)
-        EXPECT_EQ(sums[k], r.meshTotals[k]) << "tally " << k;
-    // The rotating pattern crosses the mesh, so the attribution must
-    // actually see traffic (messages and flits are never all-zero).
-    EXPECT_GT(r.meshTotals[ShardedMesh::kTallyMessages], 0u);
-    EXPECT_GT(r.meshTotals[ShardedMesh::kTallyFlits], 0u);
-}
-
 class ShardFaultDeterminism : public ::testing::Test
 {
   protected:

@@ -260,6 +260,35 @@ TEST_F(ProfileTest, IntervalSnapshotsDeltaNotCumulative)
     EXPECT_EQ(prof().intervals()[2].cycle, 12u);
 }
 
+TEST_F(ProfileTest, TickPastSeveralEdgesSnapshotsOnce)
+{
+    // A mesh ticks the profiler only at its epoch barriers. A tick
+    // that jumps over several period edges takes one snapshot,
+    // labelled with its own cycle, carrying everything since the
+    // last one; the next snapshot waits for the next edge after it.
+    ProfileConfig cfg;
+    cfg.interval = true;
+    cfg.intervalCycles = 4;
+    prof().arm(1, 1, cfg);
+    for (unsigned i = 0; i < 13; ++i)
+        prof().attrEmpty();
+    prof().tick(3);
+    EXPECT_TRUE(prof().intervals().empty()) << "no edge reached yet";
+    prof().tick(13); // passes 4, 8 and 12
+    ASSERT_EQ(prof().intervals().size(), 1u);
+    EXPECT_EQ(prof().intervals()[0].cycle, 13u);
+    EXPECT_EQ(prof().intervals()[0].comp[unsigned(ProfComp::Empty)],
+              13u);
+    prof().tick(15);
+    EXPECT_EQ(prof().intervals().size(), 1u) << "16 is the next edge";
+    prof().attrEmpty();
+    prof().tick(16);
+    ASSERT_EQ(prof().intervals().size(), 2u);
+    EXPECT_EQ(prof().intervals()[1].cycle, 16u);
+    EXPECT_EQ(prof().intervals()[1].comp[unsigned(ProfComp::Empty)],
+              1u);
+}
+
 TEST_F(ProfileTest, ExportJsonIsValidAndSelfConsistent)
 {
     prof().arm(2, 2, allModes());

@@ -11,7 +11,8 @@ Usage:
 The profile attributes every simulated cluster-cycle to one CPI-stack
 component (see docs/OBSERVABILITY.md, "Profiling"); --check verifies
 the exact accounting identity sum(components) == cluster_cycles ==
-clusters * cycles, which CI uses as the schema gate.
+clusters * cycles, which CI uses as the schema gate, and that the
+interval series moves forward and sums to no more than the totals.
 
 --flamegraph emits collapsed-stack lines ("domainA;domainB cycles"),
 the input format of flamegraph.pl and speedscope, for profiles
@@ -117,6 +118,43 @@ def check(doc):
             if not 0 <= frame < len(doc["domains"]):
                 errors.append(f"stacks[{i}] frame {frame} out of "
                               f"domain range")
+    errors += check_intervals(doc)
+    return errors
+
+
+def check_intervals(doc):
+    """Each interval is a delta since the one before it, so the series
+    must move forward and can only add up to part of the totals (the
+    cycles after the last snapshot are in no interval)."""
+    errors = []
+    ivs = doc.get("intervals", [])
+    sums = dict.fromkeys(COMPONENTS, 0)
+    prev = None
+    for i, iv in enumerate(ivs):
+        if not isinstance(iv, dict) or not all(
+                k in iv for k in ("cycle", "instructions", "components")):
+            errors.append(f"intervals[{i}] lacks cycle, instructions "
+                          f"or components")
+            return errors
+        if prev is not None and iv["cycle"] <= prev:
+            errors.append(f"intervals[{i}] cycle {iv['cycle']} does not "
+                          f"follow {prev}")
+        prev = iv["cycle"]
+        for name in COMPONENTS:
+            v = iv["components"].get(name, 0)
+            if not isinstance(v, int) or v < 0:
+                errors.append(f"intervals[{i}] component {name} is not "
+                              f"a non-negative integer: {v!r}")
+            else:
+                sums[name] += v
+    for name in COMPONENTS:
+        if sums[name] > doc["components"][name]:
+            errors.append(f"interval {name} deltas sum to {sums[name]}, "
+                          f"over the total {doc['components'][name]}")
+    insts = sum(iv["instructions"] for iv in ivs)
+    if insts > doc["instructions"]:
+        errors.append(f"interval instructions sum to {insts}, over "
+                      f"instructions = {doc['instructions']}")
     return errors
 
 

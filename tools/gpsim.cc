@@ -76,6 +76,7 @@ struct Options
     bool mesh = false;            //!< sharded multicomputer mode
     unsigned meshDims[3] = {};    //!< X, Y, Z
     bool profileIntervalSet = false;
+    bool dataSet = false;
     uint64_t dataBytes = 4096;
     unsigned clusters = 4;
     unsigned issueWidth = 1;
@@ -120,7 +121,8 @@ usage(const char *argv0)
         "                   (with a post-mortem) after N cycles of\n"
         "                   zero mesh-wide progress (requires --mesh)\n"
         "  --data BYTES     size of each thread's r1 data segment "
-        "(default 4096)\n"
+        "(default 4096;\n"
+        "                   not with --mesh)\n"
         "  --clusters N     hardware clusters (default 4, at most\n"
         "                   1024)\n"
         "  --issue-width N  instructions/cluster/cycle (default 1)\n"
@@ -159,7 +161,9 @@ usage(const char *argv0)
         "  --profile-out=FILE   write the profile as gpprof JSON\n"
         "                   (analyse with tools/gpprof.py)\n"
         "  --profile-interval=N time-series snapshot period in\n"
-        "                   cycles (default 4096)\n"
+        "                   cycles (default 4096); a mesh snapshots\n"
+        "                   at the first epoch barrier at or past\n"
+        "                   each multiple\n"
         "  --dump-regs      print final registers of every thread\n"
         "  --dump-stats     print statistics from every component\n"
         "exit status: 0 every thread halted, 1 a fault or a refused\n"
@@ -266,6 +270,7 @@ parseArgs(int argc, char **argv, Options &opts)
                 numberArg("gpsim", "--threads", value, UINT32_MAX));
         } else if (valueOf("--data", value)) {
             opts.dataBytes = numberArg("gpsim", "--data", value);
+            opts.dataSet = true;
         } else if (valueOf("--clusters", value)) {
             opts.clusters = unsigned(
                 numberArg("gpsim", "--clusters", value, UINT32_MAX));
@@ -338,9 +343,9 @@ validateOptions(const Options &opts)
     if (opts.fastMode && opts.mesh)
         return "--fast is functional-only and cannot drive the mesh "
                "timing model; drop --fast or --mesh";
-    if (opts.mesh && opts.profileIntervalSet)
-        return "--profile-interval snapshots are per-machine and not "
-               "mesh-aware; drop --profile-interval";
+    if (opts.mesh && opts.dataSet)
+        return "--data is single-machine: a mesh thread's r1 covers "
+               "the whole 2^54-byte space; drop --data";
     if (opts.mesh && opts.elide)
         return "--elide-checks is single-machine: a store by one node "
                "into another node's verified image drops only the "
@@ -563,16 +568,14 @@ main(int argc, char **argv)
     // Arm the profiler before loading: the kernel registers domain
     // and symbol names as each program image lands. In a mesh every
     // node's threads keep their own slots (the engine gives each node
-    // a slot range) while the CPI stack sums over nodes. Interval
-    // snapshots stay off there: N machines advancing the profiler's
-    // cycle clock would interleave the time series meaninglessly.
+    // a slot range) while the CPI stack sums over nodes, and interval
+    // snapshots fall on the epoch barriers.
     if (opts.profile) {
-        sim::ProfileConfig pcfg = opts.profileConfig;
-        pcfg.interval = pcfg.interval && !sys.mesh;
         const isa::MachineConfig &mc = sys.machine(0).config();
         sim::Profiler::instance().arm(
             mc.clusters,
-            sys.machines() * mc.clusters * mc.threadsPerCluster, pcfg);
+            sys.machines() * mc.clusters * mc.threadsPerCluster,
+            opts.profileConfig);
     }
 
     const std::vector<isa::Thread *> threads =
@@ -652,7 +655,7 @@ main(int argc, char **argv)
     if (opts.dumpStats) {
         // Every component registers its StatGroup with the process-wide
         // registry, so one call covers machine, memory, cache, TLB,
-        // pointer ops, kernel, mesh, and anything added later.
+        // kernel, mesh, and anything added later.
         std::printf("\n");
         sim::StatRegistry::instance().dumpAll(std::cout);
     }

@@ -159,17 +159,16 @@ CampaignRunner::execute(const uint64_t *runSeed)
             inj.setTickTarget(
                 FaultSite::MemDataBit, [&phys, pickWord](auto &rng) {
                     const uint64_t a = pickWord(rng);
-                    if (a != UINT64_MAX)
-                        phys.flipStoredBit(a,
-                                           unsigned(rng.below(64)));
+                    return a != UINT64_MAX &&
+                           phys.flipStoredBit(a,
+                                              unsigned(rng.below(64)));
                 });
         }
         if (fc.rate[unsigned(FaultSite::MemTagBit)] > 0) {
             inj.setTickTarget(
                 FaultSite::MemTagBit, [&phys, pickWord](auto &rng) {
                     const uint64_t a = pickWord(rng);
-                    if (a != UINT64_MAX)
-                        phys.flipStoredBit(a, 64);
+                    return a != UINT64_MAX && phys.flipStoredBit(a, 64);
                 });
         }
         if (fc.rate[unsigned(FaultSite::MemPermField)] > 0) {
@@ -179,9 +178,9 @@ CampaignRunner::execute(const uint64_t *runSeed)
                     // of the 10-bit perm/length field (bits 54..63).
                     auto caps = phys.taggedWordAddrs();
                     if (caps.empty())
-                        return;
+                        return false;
                     const uint64_t a = caps[rng.below(caps.size())];
-                    phys.flipStoredBit(
+                    return phys.flipStoredBit(
                         a, unsigned(54 + rng.below(10)));
                 });
         }
@@ -193,26 +192,30 @@ CampaignRunner::execute(const uint64_t *runSeed)
                 [&phys, pickWord, maxBits](auto &rng) {
                     const uint64_t a = pickWord(rng);
                     if (a == UINT64_MAX)
-                        return;
-                    // Multi-bit burst across one 32-byte line.
+                        return false;
+                    // Multi-bit burst across one 32-byte line; a flip
+                    // on a non-resident neighbour strikes nothing.
                     const uint64_t line = a & ~uint64_t(31);
                     const uint64_t n = 1 + rng.below(maxBits);
+                    bool struck = false;
                     for (uint64_t i = 0; i < n; ++i)
-                        phys.flipStoredBit(line + 8 * rng.below(4),
-                                           unsigned(rng.below(65)));
+                        struck |= phys.flipStoredBit(
+                            line + 8 * rng.below(4),
+                            unsigned(rng.below(65)));
+                    return struck;
                 });
         }
         mem::Tlb &tlb = ms.tlb();
         if (fc.rate[unsigned(FaultSite::TlbCorrupt)] > 0) {
             inj.setTickTarget(FaultSite::TlbCorrupt,
                               [&tlb](auto &rng) {
-                                  tlb.corruptRandom(rng);
+                                  return tlb.corruptRandom(rng);
                               });
         }
         if (fc.rate[unsigned(FaultSite::TlbInvalidate)] > 0) {
             inj.setTickTarget(FaultSite::TlbInvalidate,
                               [&tlb](auto &rng) {
-                                  tlb.invalidateRandom(rng);
+                                  return tlb.invalidateRandom(rng);
                               });
         }
     }

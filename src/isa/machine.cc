@@ -120,7 +120,6 @@ Machine::Machine(const MachineConfig &config)
       ownedMem_(std::make_unique<mem::MemorySystem>(config.mem)),
       port_(ownedMem_.get()),
       threads_(size_t(config.clusters) * config.threadsPerCluster),
-      rrNext_(config.clusters, 0),
       idle_(config.clusters)
 {
     if (config_.clusters == 0 || config_.threadsPerCluster == 0)
@@ -143,7 +142,6 @@ Machine::Machine(const MachineConfig &config, mem::MemoryPort &port)
     : config_(config),
       port_(&port),
       threads_(size_t(config.clusters) * config.threadsPerCluster),
-      rrNext_(config.clusters, 0),
       idle_(config.clusters)
 {
     if (config_.clusters == 0 || config_.threadsPerCluster == 0)
@@ -322,6 +320,7 @@ Machine::step()
         sim::TraceManager::instance().setCycle(cycle_);
     for (unsigned c = 0; c < config_.clusters; ++c)
         stepCluster(c);
+    rr_ = rr_ + 1 == config_.threadsPerCluster ? 0 : rr_ + 1;
     cycle_++;
     (*cycles_)++;
     if ((config_.watchdogCycles != 0 ||
@@ -366,6 +365,55 @@ Machine::quiescentNow() const
     // barrier will complete it (possibly with a fault) and that
     // completion counts as progress.
     return deferred_.empty();
+}
+
+uint64_t
+Machine::wakeCycle() const
+{
+    uint64_t wake = UINT64_MAX;
+    for (const IdleCluster &c : idle_)
+        wake = std::min(wake, c.wake);
+    if (watchdogTripped_)
+        return wake;
+    // step() at cycle c checks the watchdogs against c + 1: the
+    // budget first trips at watchdogCycles - 1, and the quiescence
+    // window is first exceeded at lastIssueCycle_ + window - 1. Once
+    // that check has passed, only a step that issues or a
+    // threadsChanged() can make a later one trip, and both end the
+    // idle run anyway.
+    if (config_.watchdogCycles != 0)
+        wake = std::min(wake, config_.watchdogCycles - 1);
+    const uint64_t q = config_.watchdogQuiescence;
+    if (q != 0 && lastIssueCycle_ <= UINT64_MAX - q &&
+        lastIssueCycle_ + q - 1 >= cycle_)
+        wake = std::min(wake, lastIssueCycle_ + q - 1);
+    return wake;
+}
+
+void
+Machine::idleTo(uint64_t cycle)
+{
+    if (cycle <= cycle_)
+        return;
+    const uint64_t n = cycle - cycle_;
+    (*idleClusterCycles_) += n * config_.clusters;
+    for (const IdleCluster &idle : idle_) {
+        if (idle.stalled)
+            (*stalledClusterCycles_) += n;
+        else
+            (*emptyClusterCycles_) += n;
+        if (sim::Profiler::armed()) {
+            if (idle.stalled)
+                sim::Profiler::instance().attrStall(
+                    profSlotBase_ + idle.blocking, cycle_, n);
+            else
+                sim::Profiler::instance().attrEmpty(n);
+        }
+    }
+    rr_ = unsigned((rr_ + n % config_.threadsPerCluster) %
+                   config_.threadsPerCluster);
+    cycle_ = cycle;
+    (*cycles_) += n;
 }
 
 void
@@ -463,8 +511,7 @@ void
 Machine::stepCluster(unsigned cluster)
 {
     const unsigned nslots = config_.threadsPerCluster;
-    const unsigned rr = rrNext_[cluster];
-    rrNext_[cluster] = rr + 1 == nslots ? 0 : rr + 1;
+    const unsigned rr = rr_;
     IdleCluster &idle = idle_[cluster];
     if (idle.wake <= cycle_) {
         // Round-robin over the cluster's thread slots: issue up to

@@ -216,6 +216,23 @@ class Machine
      */
     bool quiescentNow() const;
 
+    /**
+     * The first cycle whose step() may do more than idle bookkeeping:
+     * the earliest cluster wake, clamped so that no watchdog check
+     * can trip in a cycle before it. At most cycle() once a cluster
+     * issued or threadsChanged() was called.
+     */
+    uint64_t wakeCycle() const;
+
+    /**
+     * Advance the clock to @p cycle exactly as that many step() calls
+     * would, given that none of them could issue (@p cycle <=
+     * wakeCycle()): the idle counters, the round-robin cursor and the
+     * profiler's stall/empty charge move in one step. No-op when the
+     * machine is already there.
+     */
+    void idleTo(uint64_t cycle);
+
     uint64_t cycle() const { return cycle_; }
 
     /** The owned memory system; only valid for the owning ctor. */
@@ -468,7 +485,9 @@ class Machine
     std::unique_ptr<mem::FastPort> fastPort_;
     mem::MemoryPort *port_;
     std::vector<Thread> threads_; //!< [cluster][slot] flattened
-    std::vector<unsigned> rrNext_; //!< per-cluster round-robin cursor
+    /// Round-robin cursor, shared by every cluster: step() is its
+    /// only advance, so it is always cycle_ % threadsPerCluster.
+    unsigned rr_ = 0;
     uint64_t cycle_ = 0;
     uint32_t nextThreadId_ = 0;
     unsigned profSlotBase_ = 0; //!< see setProfileSlotBase()

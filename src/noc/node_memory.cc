@@ -8,11 +8,13 @@
 
 namespace gp::noc {
 
-std::vector<DeferredAccess>
-EpochExchange::drain()
+void
+EpochExchange::drain(std::vector<DeferredAccess> &ops)
 {
-    std::vector<DeferredAccess> ops;
+    ops.clear();
     for (auto &lane : lanes_) {
+        if (lane.empty())
+            continue;
         ops.insert(ops.end(), lane.begin(), lane.end());
         lane.clear();
     }
@@ -26,7 +28,6 @@ EpochExchange::drain()
                       return a.node < b.node;
                   return a.ticket < b.ticket;
               });
-    return ops;
 }
 
 NodeMemory::NodeMemory(unsigned node, Mesh &mesh, GlobalMemory &global,

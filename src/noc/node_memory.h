@@ -170,7 +170,16 @@ class EpochExchange
     void post(const DeferredAccess &op) { lanes_[op.node].push_back(op); }
 
     /** Move out every posted access in canonical order. */
-    std::vector<DeferredAccess> drain();
+    std::vector<DeferredAccess>
+    drain()
+    {
+        std::vector<DeferredAccess> ops;
+        drain(ops);
+        return ops;
+    }
+
+    /** The same into @p ops (cleared first), reusing its storage. */
+    void drain(std::vector<DeferredAccess> &ops);
 
   private:
     std::vector<std::vector<DeferredAccess>> lanes_;

@@ -6,6 +6,7 @@
 #include "sim/faultinject.h"
 #include "sim/log.h"
 #include "sim/profile.h"
+#include "sim/trace.h"
 
 namespace gp::noc {
 
@@ -58,8 +59,9 @@ ShardedMesh::ShardedMesh(const ShardConfig &config)
         first += len;
     }
 
-    live_.assign(nodes, 1);
+    sched_.assign(nodes, NodeSched{});
     for (unsigned s = 0; s < hostThreads_; ++s) {
+        shardLive_.push_back(shardRange_[s].second - shardRange_[s].first);
         shardStats_.push_back(std::make_unique<sim::StatGroup>(
             "shard" + std::to_string(s)));
         sim::StatGroup &g = *shardStats_.back();
@@ -130,11 +132,40 @@ ShardedMesh::simulateShard(unsigned shard)
     // Cycle-major so every machine in the mesh executes cycle c
     // before any machine executes cycle c+1 (within the epoch the
     // shards interleave freely — the lookahead guarantees nothing
-    // observable crosses shards before the barrier).
-    for (uint64_t c = from; c < to; ++c)
-        for (unsigned n = first; n < last; ++n)
-            if (live_[n])
-                machines_[n]->step();
+    // observable crosses shards before the barrier). A node whose
+    // threads are all parked or stalled is not stepped before its
+    // wake: its idle cycles are owed, and idleTo() pays them in one
+    // step when it next steps or something at the barrier needs it
+    // current.
+    for (uint64_t c = from; c < to; ++c) {
+        for (unsigned n = first; n < last; ++n) {
+            NodeSched &s = sched_[n];
+            if (!s.live || s.wake > c)
+                continue;
+            isa::Machine &m = *machines_[n];
+            m.idleTo(c);
+            m.step();
+            s.wake = m.wakeCycle();
+            s.stepped = true;
+        }
+    }
+    // Only a step or the barrier changes whether a machine is done.
+    // A done machine can never wake up on its own (no pending split
+    // transactions, no ready threads), so it stops being stepped; its
+    // clock freezes at the end of the epoch in which it finished.
+    // This is part of the canonical schedule: identical for every
+    // host-thread count.
+    for (unsigned n = first; n < last; ++n) {
+        NodeSched &s = sched_[n];
+        if (!s.stepped)
+            continue;
+        s.stepped = false;
+        if (machines_[n]->allDone()) {
+            machines_[n]->idleTo(to);
+            s.live = false;
+            shardLive_[shard]--;
+        }
+    }
 }
 
 void
@@ -150,17 +181,46 @@ ShardedMesh::workerLoop(unsigned shard)
 }
 
 void
-ShardedMesh::refreshLive()
+ShardedMesh::startRun()
 {
-    // A done machine can never wake up on its own (no pending split
-    // transactions, no ready threads), so it stops being stepped; its
-    // local cycle count freezes at the epoch in which it finished.
-    // A fail-stopped machine freezes the same way, mid-flight. This
-    // is part of the canonical schedule: identical for every
-    // host-thread count.
-    for (unsigned n = 0; n < live_.size(); ++n)
-        live_[n] =
-            (mesh_.nodeDead(n) || machines_[n]->allDone()) ? 0 : 1;
+    // The machines are stepped one cycle at a time, not run(): let
+    // every cluster rescan threads changed since the last run. A
+    // fail-stopped machine stays frozen mid-flight.
+    for (unsigned s = 0; s < hostThreads_; ++s) {
+        const auto [first, last] = shardRange_[s];
+        shardLive_[s] = 0;
+        for (unsigned n = first; n < last; ++n) {
+            machines_[n]->threadsChanged();
+            NodeSched &ns = sched_[n];
+            ns = NodeSched{};
+            ns.live = !mesh_.nodeDead(n) && !machines_[n]->allDone();
+            shardLive_[s] += ns.live ? 1 : 0;
+        }
+    }
+}
+
+void
+ShardedMesh::catchUpAll()
+{
+    for (unsigned n = 0; n < machines_.size(); ++n)
+        if (sched_[n].live)
+            machines_[n]->idleTo(cycle_);
+}
+
+void
+ShardedMesh::retire(unsigned n)
+{
+    sched_[n].live = false;
+    shardLive_[shardOf(n)]--;
+}
+
+unsigned
+ShardedMesh::liveCount() const
+{
+    unsigned live = 0;
+    for (unsigned l : shardLive_)
+        live += l;
+    return live;
 }
 
 void
@@ -168,6 +228,11 @@ ShardedMesh::killNode(unsigned n)
 {
     if (n >= machines_.size() || mesh_.nodeDead(n))
         return;
+    if (sched_[n].live) {
+        // Frozen as of the barrier, like every other machine.
+        machines_[n]->idleTo(cycle_);
+        retire(n);
+    }
     mesh_.failNode(n);
     sim::warn("sharded mesh: node %u fail-stopped at cycle %llu", n,
               static_cast<unsigned long long>(cycle_));
@@ -214,6 +279,11 @@ ShardedMesh::applyMeshFaults()
 void
 ShardedMesh::drainEpoch()
 {
+    // Barrier-time trace events stamp the last cycle the machines
+    // stepped, as the last step() of the epoch left the trace clock.
+    if (sim::TraceManager::anyEnabled())
+        sim::TraceManager::instance().setCycle(epochTo_ - 1);
+
     // Central injector ticks for the cycles the machines stepped,
     // [from, to). Like a lone machine's run(), each tick carries the
     // post-increment cycle, i.e. (from, to], in one canonical order
@@ -234,9 +304,9 @@ ShardedMesh::drainEpoch()
     // lies beyond the epoch (a completion chain) still resolve at
     // this barrier, in the same canonical order; the mesh charges
     // contention from their recorded cycles either way.
-    std::vector<DeferredAccess> ops = exchange_.drain();
-    while (!ops.empty()) {
-        for (const DeferredAccess &op : ops) {
+    exchange_.drain(ops_);
+    while (!ops_.empty()) {
+        for (const DeferredAccess &op : ops_) {
             if (mesh_.nodeDead(op.node)) {
                 // The poster fail-stopped with this op in flight:
                 // nobody is waiting for the completion. Dropped, not
@@ -244,28 +314,46 @@ ShardedMesh::drainEpoch()
                 deadOpsDropped_++;
                 continue;
             }
-            machines_[op.node]->completeDeferred(
-                op.ticket, nodes_[op.node]->resolveDeferred(op));
+            isa::Machine &m = *machines_[op.node];
+            NodeSched &s = sched_[op.node];
+            if (!s.drained) {
+                // The completion runs at the barrier cycle.
+                s.drained = true;
+                drained_.push_back(op.node);
+                m.idleTo(cycle_);
+            }
+            m.completeDeferred(op.ticket,
+                               nodes_[op.node]->resolveDeferred(op));
         }
-        ops = exchange_.drain();
+        exchange_.drain(ops_);
     }
 
     // The exchange is empty, so every op a survivor posted has
     // completed (an op to a dead home completes NodeUnreachable).
     // Only a dead poster's ops are dropped, and a dead machine is
-    // never stepped again.
-    for (unsigned n = 0; n < machines_.size(); ++n)
-        if (!mesh_.nodeDead(n) && machines_[n]->hasDeferred())
+    // never stepped again. A completion changes its node's threads:
+    // the node wakes again, or is done if the op faulted its last
+    // live thread.
+    for (unsigned n : drained_) {
+        NodeSched &s = sched_[n];
+        s.drained = false;
+        isa::Machine &m = *machines_[n];
+        if (m.hasDeferred())
             sim::panic("sharded mesh: node %u still holds a split "
                        "transaction after the epoch drain", n);
+        s.wake = m.wakeCycle();
+        if (s.live && m.allDone())
+            retire(n);
+    }
+    drained_.clear();
 
     // One profiler tick per barrier, once the drain has attributed
-    // the completed split transactions: interval edges fall on
-    // epoch boundaries.
-    if (sim::Profiler::armed())
+    // the completed split transactions and every machine's idle
+    // cycles are charged: interval edges fall on epoch boundaries.
+    if (sim::Profiler::armed()) {
+        catchUpAll();
         sim::Profiler::instance().tick(cycle_);
-
-    refreshLive();
+    }
 }
 
 uint64_t
@@ -297,6 +385,8 @@ ShardedMesh::checkMeshWatchdog()
     }
     if (cycle_ - lastProgressCycle_ < config_.meshWatchdogCycles)
         return;
+    // quiescentNow() reads each machine's own clock.
+    catchUpAll();
     // No survivor progressed for a full window. Spurious-trip guard:
     // a survivor stalled to a finite future cycle (long backoff) or
     // holding a genuinely in-flight park will resume on its own —
@@ -310,9 +400,14 @@ ShardedMesh::checkMeshWatchdog()
               "(%u survivors, %llu dead nodes)",
               static_cast<unsigned long long>(cycle_), survivors(),
               static_cast<unsigned long long>(mesh_.deadNodeCount()));
-    for (unsigned n = 0; n < machines_.size(); ++n)
-        if (!mesh_.nodeDead(n) && !machines_[n]->allDone())
+    for (unsigned n = 0; n < machines_.size(); ++n) {
+        if (!mesh_.nodeDead(n) && !machines_[n]->allDone()) {
+            // Every live thread faults: the node steps once more, at
+            // the next epoch's first cycle, and is then done.
             machines_[n]->forceWatchdogTrip("mesh-quiescence");
+            sched_[n].wake = machines_[n]->wakeCycle();
+        }
+    }
 }
 
 namespace {
@@ -408,13 +503,8 @@ ShardedMesh::run(uint64_t max_cycles)
 {
     const uint64_t start = cycle_;
     const uint64_t limit = start + max_cycles;
-    // The machines are stepped one cycle at a time, not run(): let
-    // every cluster rescan threads changed since the last run.
-    for (auto &m : machines_)
-        m->threadsChanged();
-    refreshLive();
-    bool done = allDone();
-    while (!done && cycle_ < limit) {
+    startRun();
+    while (liveCount() != 0 && cycle_ < limit) {
         epochFrom_ = cycle_;
         epochTo_ = cycle_ + std::min(horizon_, limit - cycle_);
         if (workers_.empty()) {
@@ -426,12 +516,12 @@ ShardedMesh::run(uint64_t max_cycles)
         }
         cycle_ = epochTo_;
         drainEpoch();
-        done = allDone();
-        if (!done && config_.meshWatchdogCycles != 0)
+        if (liveCount() != 0 && config_.meshWatchdogCycles != 0)
             checkMeshWatchdog();
     }
+    catchUpAll();
     exportShardStats();
-    if (!done)
+    if (liveCount() != 0)
         sim::warn("sharded mesh: run() hit the %llu-cycle limit",
                   static_cast<unsigned long long>(max_cycles));
     return cycle_ - start;

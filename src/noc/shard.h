@@ -24,6 +24,16 @@
  *    (issue cycle, node, ticket) order on one thread and delivers
  *    each outcome back via Machine::completeDeferred().
  *
+ *  - Per-node wake. Within an epoch a node is stepped only from
+ *    Machine::wakeCycle() on: a node whose threads are all parked or
+ *    stalled owes its idle cycles, and Machine::idleTo() pays them in
+ *    one step whenever something needs the node current (its next
+ *    step, a completion or fail-stop at the barrier, the end of the
+ *    epoch in which it finished, the profiler tick, the mesh
+ *    watchdog's quiescence scan, the return of run()). Liveness is
+ *    decided per operation too: a shard for the nodes it stepped, the
+ *    drain for the nodes it completed ops on.
+ *
  *  - Singleton discipline. Machine::step() ticks no process-wide
  *    clock, so the barrier thread ticks the FaultInjector once per
  *    simulated cycle of the epoch and the Profiler once per epoch,
@@ -197,9 +207,10 @@ class ShardedMesh
         std::atomic<uint64_t> gen_{0};
     };
 
-    /** Step every live machine of @p shard through the epoch window
+    /** Step the live machines of @p shard through the epoch window
      * [epochFrom_, epochTo_), cycle-major so the whole mesh stays in
-     * lockstep. */
+     * lockstep, each only in the cycles from its wake on; then
+     * decide liveness for the nodes it stepped. */
     void simulateShard(unsigned shard);
 
     /** Worker thread main loop (shards 1..hostThreads-1; shard 0
@@ -228,8 +239,19 @@ class ShardedMesh
      * plus faults taken across surviving machines. */
     uint64_t progressCount() const;
 
-    /** Recompute live_ (machines still needing steps). */
-    void refreshLive();
+    /** run() entry: every machine rescans its threads, and liveness
+     * and wakes are decided afresh for every node. */
+    void startRun();
+
+    /** Bring every live machine's clock up to cycle_ (it may lag
+     * while its idle cycles are owed). */
+    void catchUpAll();
+
+    /** Node @p n stops being stepped (done or fail-stopped). */
+    void retire(unsigned n);
+
+    /** Nodes still being stepped, over all shards. */
+    unsigned liveCount() const;
 
     /** Update the per-shard stat groups from machine stats. */
     void exportShardStats();
@@ -245,9 +267,27 @@ class ShardedMesh
     uint64_t cycle_ = 0;
     /// [first, last) node range per shard.
     std::vector<std::pair<unsigned, unsigned>> shardRange_;
-    /// live_[n]: machine n still needs stepping (recomputed at each
-    /// barrier; read by workers under barrier happens-before).
-    std::vector<char> live_;
+    /**
+     * Per-node schedule. During an epoch only the node's own shard
+     * touches it; between epochs, the barrier thread.
+     */
+    struct NodeSched
+    {
+        /// First cycle the node must step (Machine::wakeCycle());
+        /// the cycles before it cost nothing until the machine is
+        /// brought current with Machine::idleTo().
+        uint64_t wake = 0;
+        bool live = true;     //!< still stepped: neither done nor dead
+        bool stepped = false; //!< stepped this epoch
+        bool drained = false; //!< had an op completed this barrier
+    };
+    std::vector<NodeSched> sched_;
+    /// Live nodes per shard (each shard counts down its own).
+    std::vector<unsigned> shardLive_;
+    /// Nodes that had an op completed in this barrier's drain.
+    std::vector<unsigned> drained_;
+    /// Drain buffer, reused every barrier.
+    std::vector<DeferredAccess> ops_;
 
     // Worker pool (empty when hostThreads == 1). Workers park on
     // startBarrier_ between epochs; the epoch window is published in

@@ -143,8 +143,10 @@ struct FaultConfig
 class FaultInjector
 {
   public:
-    /** Hook invoked from tick() when the site's draw fires. */
-    using TickHook = std::function<void(Rng &)>;
+    /** Hook invoked from tick() when the site's draw fires.
+     * @return true when it struck state: only that counts as an
+     * injection (a TLB upset on an empty TLB changes nothing). */
+    using TickHook = std::function<bool(Rng &)>;
 
     static FaultInjector &instance();
 
@@ -173,11 +175,7 @@ class FaultInjector
         if (!armed_)
             return false;
         const auto i = static_cast<unsigned>(site);
-        // Burn exactly one draw per opportunity regardless of rate,
-        // so a site's stream position depends only on its own
-        // opportunity count — rates can vary across campaign arms
-        // without shifting the victim-selection draws.
-        if (!(streams_[i].uniform() < cfg_.rate[i]))
+        if (!draw(i))
             return false;
         countFired(i);
         return true;
@@ -194,7 +192,9 @@ class FaultInjector
     /**
      * Register the corruption hook for a tick-scheduled site. The
      * hook is invoked from tick() with the site's stream whenever
-     * the site's Bernoulli draw fires. Replaces any previous hook.
+     * the site's Bernoulli draw fires, and the firing counts as an
+     * injection only when the hook reports it struck something.
+     * Replaces any previous hook.
      */
     void setTickTarget(FaultSite site, TickHook hook);
 
@@ -216,8 +216,8 @@ class FaultInjector
             return;
         for (unsigned k = 0; k < tickCount_; ++k) {
             const unsigned i = tickSites_[k];
-            if (fire(static_cast<FaultSite>(i)))
-                hooks_[i](streams_[i]);
+            if (draw(i) && hooks_[i](streams_[i]))
+                countFired(i);
         }
     }
 
@@ -233,6 +233,17 @@ class FaultInjector
 
   private:
     FaultInjector();
+
+    /** The Bernoulli draw of site @p i's opportunity. */
+    bool
+    draw(unsigned i)
+    {
+        // Burn exactly one draw per opportunity regardless of rate,
+        // so a site's stream position depends only on its own
+        // opportunity count — rates can vary across campaign arms
+        // without shifting the victim-selection draws.
+        return streams_[i].uniform() < cfg_.rate[i];
+    }
 
     /** Count one fired injection at site @p i (the rare path). */
     void countFired(unsigned i);

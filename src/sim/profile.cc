@@ -338,26 +338,33 @@ Profiler::attrIssue(unsigned slot)
 }
 
 void
-Profiler::attrStall(unsigned slot, uint64_t cycle)
+Profiler::attrStall(unsigned slot, uint64_t cycle, uint64_t n)
 {
-    clusterCycles_++;
-    threadCycles_[slot]++;
+    clusterCycles_ += n;
+    threadCycles_[slot] += n;
     SlotRec &rec = recs_[slot];
-    ProfComp comp = ProfComp::OtherStall;
+    uint64_t &other = comp_[unsigned(ProfComp::OtherStall)];
     if (!rec.valid) {
-        domains_[unknownDomain()].cycles++;
-    } else {
-        domains_[rec.domain].cycles++;
-        uint64_t off = cycle - rec.start;
-        for (uint32_t i = 0; i < rec.nsegs; ++i) {
-            if (off < rec.segs[i].len) {
-                comp = rec.segs[i].comp;
-                break;
-            }
-            off -= rec.segs[i].len;
-        }
+        domains_[unknownDomain()].cycles += n;
+        other += n;
+        return;
     }
-    comp_[unsigned(comp)]++;
+    domains_[rec.domain].cycles += n;
+    // Each cycle goes to the segment it falls in, OtherStall past the
+    // timeline. Records open at the machine's current cycle, so
+    // `cycle` never precedes rec.start.
+    uint64_t off = cycle - rec.start;
+    for (uint32_t i = 0; i < rec.nsegs && n != 0; ++i) {
+        if (off >= rec.segs[i].len) {
+            off -= rec.segs[i].len;
+            continue;
+        }
+        const uint64_t k = std::min(n, rec.segs[i].len - off);
+        comp_[unsigned(rec.segs[i].comp)] += k;
+        n -= k;
+        off = 0;
+    }
+    other += n;
 }
 
 void

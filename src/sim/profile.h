@@ -202,19 +202,20 @@ class Profiler
     /** This cluster-cycle issued; attribute to the issuing thread. */
     void attrIssue(unsigned slot);
 
-    /** No runnable thread in the cluster this cycle. */
+    /** No runnable thread in the cluster for @p n cycles. */
     void
-    attrEmpty()
+    attrEmpty(uint64_t n = 1)
     {
-        comp_[unsigned(ProfComp::Empty)]++;
-        clusterCycles_++;
+        comp_[unsigned(ProfComp::Empty)] += n;
+        clusterCycles_ += n;
     }
 
     /**
-     * Cluster blocked: attribute the cycle to whatever the blocking
-     * thread (the one that will unstall first) is waiting on.
+     * Cluster blocked for the @p n cycles from @p cycle: attribute
+     * each to whatever the blocking thread (the one that will unstall
+     * first) is waiting on in that cycle.
      */
-    void attrStall(unsigned slot, uint64_t cycle);
+    void attrStall(unsigned slot, uint64_t cycle, uint64_t n = 1);
 
     /**
      * Clock tick from whoever owns the simulated clock (every cycle

@@ -1,6 +1,7 @@
 #include "sim/stats.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "sim/log.h"
@@ -10,8 +11,15 @@ namespace gp::sim {
 
 Histogram::Histogram(size_t bucket_count, uint64_t max)
     : buckets_(bucket_count + 1, 0),
-      range_(std::max<uint64_t>(max, 1))
+      range_(max)
 {
+    const uint64_t width = bucket_count ? max / bucket_count : 0;
+    if (width * bucket_count != max || !std::has_single_bit(width))
+        fatal("histogram: %llu buckets over [0, %llu) are not of one "
+              "power-of-two width",
+              static_cast<unsigned long long>(bucket_count),
+              static_cast<unsigned long long>(max));
+    widthLog2_ = unsigned(std::countr_zero(width));
 }
 
 void

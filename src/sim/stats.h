@@ -50,7 +50,9 @@ class Histogram
     /**
      * @param bucket_count number of uniform buckets.
      * @param max upper bound of the bucketed range; samples >= max land
-     *            in the overflow bucket.
+     *            in the overflow bucket. max / bucket_count, the
+     *            bucket width, must be a power of two (fatal
+     *            otherwise), so sample() finds the bucket by a shift.
      */
     Histogram(size_t bucket_count = 16, uint64_t max = 16);
 
@@ -60,11 +62,10 @@ class Histogram
     void
     sample(uint64_t value)
     {
-        const size_t n = buckets_.size() - 1;
         const size_t idx =
             value >= range_
-                ? n // overflow bucket
-                : static_cast<size_t>((value * n) / range_);
+                ? buckets_.size() - 1 // overflow bucket
+                : static_cast<size_t>(value >> widthLog2_);
         buckets_[idx]++;
         count_++;
         sum_ += value;
@@ -107,6 +108,7 @@ class Histogram
   private:
     std::vector<uint64_t> buckets_;
     uint64_t range_;
+    unsigned widthLog2_ = 0; //!< log2 of the bucket width
     uint64_t count_ = 0;
     uint64_t sum_ = 0;
     uint64_t min_ = UINT64_MAX;

@@ -24,6 +24,8 @@
 
 #include "fault/campaign.h"
 #include "fault/mesh_campaign.h"
+#include "mem/tlb.h"
+#include "sim/faultinject.h"
 
 namespace gp::fault {
 namespace {
@@ -103,6 +105,63 @@ TEST(Campaign, ZeroRateCampaignIsAllMasked)
     const CampaignTotals t = CampaignRunner(cc).runAll();
     EXPECT_EQ(t.outcome(Outcome::Masked), 5u);
     EXPECT_EQ(t.totalInjections, 0u);
+}
+
+TEST(Campaign, TlbUpsetOnAnEmptyTlbIsNoInjection)
+{
+    // The campaign's TLB tick targets strike a random live entry. An
+    // empty TLB has none: the firing draws from the site's stream but
+    // changes nothing, so it is not an injection.
+    struct Disarm
+    {
+        ~Disarm() { sim::FaultInjector::instance().disarm(); }
+    } disarm;
+    auto &inj = sim::FaultInjector::instance();
+    sim::FaultConfig fc;
+    fc.rate[unsigned(sim::FaultSite::TlbInvalidate)] = 1.0;
+    fc.rate[unsigned(sim::FaultSite::TlbCorrupt)] = 1.0;
+    inj.arm(fc);
+    mem::Tlb tlb(16);
+    inj.setTickTarget(sim::FaultSite::TlbCorrupt, [&tlb](sim::Rng &rng) {
+        return tlb.corruptRandom(rng);
+    });
+    inj.setTickTarget(sim::FaultSite::TlbInvalidate,
+                      [&tlb](sim::Rng &rng) {
+                          return tlb.invalidateRandom(rng);
+                      });
+    for (uint64_t c = 1; c <= 100; ++c)
+        inj.tick(c);
+    EXPECT_EQ(inj.injectedTotal(), 0u);
+    // One resident entry: the next tick corrupts it, then invalidates
+    // it; every tick after that finds the TLB empty again.
+    tlb.insert(5, 9);
+    for (uint64_t c = 101; c <= 200; ++c)
+        inj.tick(c);
+    EXPECT_EQ(inj.injected(sim::FaultSite::TlbCorrupt), 1u);
+    EXPECT_EQ(inj.injected(sim::FaultSite::TlbInvalidate), 1u);
+    EXPECT_EQ(tlb.size(), 0u);
+}
+
+TEST(Campaign, TlbInvalidationsCountOnlyLiveEntries)
+{
+    // Firing every cycle, tlb-invalidate removes each entry the
+    // moment a miss fills it and finds the TLB empty on nearly every
+    // other cycle: a run's injections are the entries it struck, far
+    // fewer than its cycles. The outcomes do not depend on the count.
+    CampaignConfig cc;
+    cc.runs = 3;
+    cc.seed = 9;
+    cc.faults.rate[unsigned(sim::FaultSite::TlbInvalidate)] = 1.0;
+    CampaignRunner runner(cc);
+    const CampaignTotals t = runner.runAll();
+    EXPECT_EQ(t.outcome(Outcome::Masked), 3u);
+    uint64_t sum = 0;
+    for (const RunResult &r : runner.results()) {
+        EXPECT_GT(r.injections, 0u);
+        EXPECT_LT(r.injections * 100, r.cycles);
+        sum += r.injections;
+    }
+    EXPECT_EQ(t.totalInjections, sum);
 }
 
 TEST(Campaign, TagFlipsAreDetectedNotJustSilent)

@@ -110,10 +110,10 @@ runProgram(const std::string &src, bool elide,
         inj.setTickTarget(sim::FaultSite::MemDataBit,
                           [&phys](sim::Rng &rng) {
                               const auto addrs = phys.wordAddrs();
-                              if (!addrs.empty())
-                                  phys.flipStoredBit(
-                                      addrs[rng.below(addrs.size())],
-                                      unsigned(rng.below(64)));
+                              return !addrs.empty() &&
+                                     phys.flipStoredBit(
+                                         addrs[rng.below(addrs.size())],
+                                         unsigned(rng.below(64)));
                           });
     }
     if (gate == Gate::Handler)

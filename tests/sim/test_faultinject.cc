@@ -178,8 +178,10 @@ TEST_F(FaultInjectTest, TickInvokesOnlyRegisteredHooks)
     inj.arm(fc);
 
     unsigned calls = 0;
-    inj.setTickTarget(FaultSite::TlbCorrupt,
-                      [&calls](Rng &) { calls++; });
+    inj.setTickTarget(FaultSite::TlbCorrupt, [&calls](Rng &) {
+        calls++;
+        return true;
+    });
     for (uint64_t c = 1; c <= 10; ++c)
         inj.tick(c);
     EXPECT_EQ(calls, 10u);
@@ -192,6 +194,34 @@ TEST_F(FaultInjectTest, TickInvokesOnlyRegisteredHooks)
     for (uint64_t c = 1; c <= 10; ++c)
         inj.tick(c);
     EXPECT_EQ(calls, 10u);
+}
+
+TEST_F(FaultInjectTest, TickCountsOnlyFiringsThatStruck)
+{
+    // A tick target that finds nothing to strike (an empty TLB, no
+    // resident word) changed no state: the firing is not an
+    // injection. Its draws still happen, so the stream is the same.
+    auto &inj = FaultInjector::instance();
+    FaultConfig fc;
+    fc.seed = 3;
+    fc.rate[unsigned(FaultSite::TlbInvalidate)] = 1.0;
+    inj.arm(fc);
+    unsigned calls = 0;
+    inj.setTickTarget(FaultSite::TlbInvalidate, [&calls](Rng &) {
+        return ++calls % 3 == 0;
+    });
+    for (uint64_t c = 1; c <= 30; ++c)
+        inj.tick(c);
+    EXPECT_EQ(calls, 30u);
+    EXPECT_EQ(inj.injected(FaultSite::TlbInvalidate), 10u);
+    EXPECT_EQ(inj.injectedTotal(), 10u);
+
+    inj.arm(fc);
+    inj.setTickTarget(FaultSite::TlbInvalidate,
+                      [](Rng &) { return false; });
+    for (uint64_t c = 1; c <= 30; ++c)
+        inj.tick(c);
+    EXPECT_EQ(inj.injected(FaultSite::TlbInvalidate), 0u);
 }
 
 TEST_F(FaultInjectTest, TickVisitsHookedSitesInAscendingOrder)
@@ -213,6 +243,7 @@ TEST_F(FaultInjectTest, TickVisitsHookedSitesInAscendingOrder)
     auto hook = [&got, &cycle](FaultSite site) {
         return [&got, &cycle, site](Rng &rng) {
             got.emplace_back(cycle, unsigned(site), rng.below(1000));
+            return true;
         };
     };
     auto reference = [&](const std::vector<FaultSite> &sites) {

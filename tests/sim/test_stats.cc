@@ -42,6 +42,26 @@ TEST(Histogram, BucketsAndSummary)
     EXPECT_DOUBLE_EQ(h.mean(), 111.0 / 5);
 }
 
+TEST(Histogram, BucketWidthMustBeAPowerOfTwo)
+{
+    // sample() finds the bucket with a shift, so the width
+    // max / buckets must be a whole power of two.
+    Histogram wide(16, 64);
+    for (uint64_t v = 0; v < 70; ++v)
+        wide.sample(v);
+    for (size_t i = 0; i < 16; ++i)
+        EXPECT_EQ(wide.bucket(i), 4u) << i;
+    EXPECT_EQ(wide.bucket(16), 6u);
+    EXPECT_EXIT(Histogram(3, 8), ::testing::ExitedWithCode(1),
+                "power-of-two width");
+    EXPECT_EXIT(Histogram(4, 12), ::testing::ExitedWithCode(1),
+                "power-of-two width");
+    EXPECT_EXIT(Histogram(8, 4), ::testing::ExitedWithCode(1),
+                "power-of-two width");
+    EXPECT_EXIT(Histogram(0, 8), ::testing::ExitedWithCode(1),
+                "power-of-two width");
+}
+
 TEST(Histogram, EmptyMinValueIsZero)
 {
     // Regression: minValue() used to leak the UINT64_MAX sentinel

@@ -158,7 +158,7 @@ perSiteCoverage()
         // the watchdog before a later incidental flip kills it with
         // an architectural fault (which would misfile the hang as
         // detected). 30k cycles is ~8x the golden runtime.
-        cc.watchdogCycles = 30000;
+        cc.maxCycles = 30000;
         cc.faults.rate[unsigned(s.site)] = s.rate;
         const CampaignTotals totals = runCampaign(cc);
         std::vector<std::string> row = {
@@ -200,7 +200,7 @@ hardeningAblation()
         CampaignConfig cc;
         cc.runs = 120;
         cc.seed = 7;
-        cc.watchdogCycles = 30000;
+        cc.maxCycles = 30000;
         cc.ecc = a.ecc;
         cc.walkRetries = a.walkRetries;
         // Single stored-bit flips (data or tag) plus transient

@@ -109,7 +109,7 @@ struct Harness
         mcfg.threadsPerCluster = 1;
         mcfg.mem.ecc = cc.ecc;
         mcfg.mem.walkRetries = cc.walkRetries;
-        mcfg.watchdogCycles = cc.watchdogCycles;
+        mcfg.watchdogCycles = cc.maxCycles;
         mcfg.watchdogQuiescence = cc.watchdogQuiescence;
         return mcfg;
     }
@@ -220,7 +220,7 @@ CampaignRunner::execute(const uint64_t *runSeed)
         }
     }
 
-    h.machine.run(config_.watchdogCycles + 10000);
+    h.machine.run(config_.maxCycles + 10000);
 
     RunResult r;
     r.cycles = h.machine.cycle();
@@ -237,8 +237,7 @@ CampaignRunner::execute(const uint64_t *runSeed)
     if (!h.machine.faultLog().empty())
         r.firstFault = h.machine.faultLog().front().fault;
 
-    const bool hung =
-        h.machine.watchdogTripped() || !h.machine.allDone();
+    r.hung = h.machine.watchdogTripped() || !h.machine.allDone();
 
     const Signature sig = signatureOf(ms);
     r.signature = sig.hash;
@@ -252,7 +251,7 @@ CampaignRunner::execute(const uint64_t *runSeed)
     }
 
     const uint64_t golden = goldenSignature();
-    if (hung)
+    if (r.hung)
         r.outcome = Outcome::CrashHang;
     else if (faulted || sig.detected)
         r.outcome = Outcome::DetectedFault;

@@ -104,8 +104,9 @@ struct CampaignConfig
     sim::FaultConfig faults;
     /** Workload size: loop iterations. */
     uint64_t iterations = 150;
-    /** Watchdog cycle budget per run (converts hangs). */
-    uint64_t watchdogCycles = 300000;
+    /** Per-run cycle budget: the machine watchdog's (converts
+     * hangs). */
+    uint64_t maxCycles = 300000;
     /** Watchdog quiescence window per run. */
     uint64_t watchdogQuiescence = 5000;
 };
@@ -121,6 +122,7 @@ struct RunResult
     uint64_t walkTransients = 0;  //!< transient walk failures retried
     Fault firstFault = Fault::None; //!< first architectural fault
     uint64_t signature = 0;       //!< final data-memory hash
+    bool hung = false;            //!< a watchdog or the budget ended it
 };
 
 /** Aggregated campaign outcome table. */

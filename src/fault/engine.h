@@ -14,7 +14,8 @@
  *  - its workload source, which the engine assembles once, at
  *    construction, for every run to load (`code()`);
  *  - `Result execute(const uint64_t *runSeed)`: build the harness,
- *    wire the faults (iff @p runSeed is set), run and classify;
+ *    wire the faults (iff @p runSeed is set), run and classify,
+ *    setting `hung` when the run did not finish within its budget;
  *  - `Config`, `Outcome` (with `outcomeName(Outcome)` beside it):
  *    its configuration and outcome taxonomy;
  *  - `kSites`: the fault sites it wires. Every other site never
@@ -98,6 +99,13 @@ class CampaignEngine
 
     /** Cycles of the fault-free golden run (computed lazily). */
     uint64_t goldenCycles() { return golden().cycles; }
+
+    /**
+     * @return true when the fault-free run halts within the arm's
+     * budget (runs it if it has not run yet). Without that, there is
+     * no golden result and every injected run would class as a hang.
+     */
+    bool goldenHalts() { return !golden().hung; }
 
     /** Execute run @p index (0-based) under its derived seed. */
     Result

@@ -93,7 +93,7 @@ MeshCampaignRunner::execute(const uint64_t *runSeed)
     scfg.node.cache.setsPerBank = 64; // small cache: host speed only
     scfg.machine.clusters = 1;
     scfg.hostThreads = config_.hostThreads;
-    scfg.meshWatchdogCycles = config_.meshWatchdogCycles;
+    scfg.machine.watchdogQuiescence = config_.watchdogQuiescence;
     scfg.retrans = config_.retrans;
     noc::ShardedMesh shard(scfg);
     const unsigned nodes = shard.nodeCount();
@@ -143,8 +143,7 @@ MeshCampaignRunner::execute(const uint64_t *runSeed)
     r.deadNodes = shard.mesh().deadNodeCount();
     r.downLinks = shard.mesh().downLinkCount();
     r.detours = shard.mesh().detourCount();
-    r.meshWatchdog = shard.meshWatchdogTripped();
-    r.hung = r.meshWatchdog || !shard.allDone();
+    r.hung = shard.watchdogTripped() || !shard.allDone();
 
     // Per-node result signatures: the final result vector (tags
     // included) plus a clean-completion bit. Deliberately NO cycle

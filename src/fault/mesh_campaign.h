@@ -24,7 +24,7 @@
  *  - **silent-data-corruption**: a survivor completed "successfully"
  *    but its result image differs from golden. The tripwire class:
  *    the campaign exists to prove this count stays zero;
- *  - **hang**: the run never completed — the distributed mesh
+ *  - **hang**: the run never completed — a node's quiescence
  *    watchdog (or the per-run cycle budget) had to end it.
  *
  * The workload makes per-node results *timing-independent*: each node
@@ -104,9 +104,9 @@ struct MeshCampaignConfig
     uint64_t iterations = 48;
     /** Per-run simulated-cycle budget. */
     uint64_t maxCycles = 400000;
-    /** Distributed mesh watchdog window (cycles of zero mesh-wide
-     * progress before the run is declared hung). */
-    uint64_t meshWatchdogCycles = 20000;
+    /** Every node's quiescence watchdog window (cycles without an
+     * issue or completion before a wedged node stops). */
+    uint64_t watchdogQuiescence = 20000;
     /** End-to-end retry protocol on the NoC links. On by default:
      * bounded timeout/backoff/retry is the mechanism under test
      * (aggregate init — the remaining fields keep their own
@@ -129,9 +129,8 @@ struct MeshRunResult
      * results are detected failures, not corruption). */
     uint64_t survivorsWrong = 0;
     Fault firstFault = Fault::None; //!< first fault any survivor took
-    bool meshWatchdog = false;      //!< distributed watchdog tripped
     /** Not every live thread halted or faulted within maxCycles, or
-     * the distributed watchdog tripped. */
+     * a node's watchdog tripped. */
     bool hung = false;
     /** Per-node result signatures (a placeholder for a dead node). */
     std::vector<uint64_t> nodeSignatures;
@@ -182,13 +181,6 @@ class MeshCampaignRunner
         };
 
     explicit MeshCampaignRunner(const MeshCampaignConfig &config);
-
-    /**
-     * @return true when the failure-free run halts within maxCycles
-     * (runs it if it has not run yet). Without that, there is no
-     * golden result and every injected run would class as a hang.
-     */
-    bool goldenHalts() { return !golden().hung; }
 
     /** Per-node golden signatures (failure-free run; lazy). */
     const std::vector<uint64_t> &

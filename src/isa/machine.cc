@@ -449,13 +449,6 @@ Machine::tripWatchdog(const char *why)
 }
 
 void
-Machine::forceWatchdogTrip(const char *why)
-{
-    if (!watchdogTripped_)
-        tripWatchdog(why);
-}
-
-void
 Machine::bumpFaultKind(Fault f)
 {
     const unsigned fi = unsigned(f);
@@ -495,7 +488,7 @@ Machine::run(uint64_t max_cycles)
         // when nothing is armed. A mesh ticks both at its epoch
         // barrier instead.
         if (sim::FaultInjector::armed())
-            sim::FaultInjector::instance().tick(cycle_);
+            sim::FaultInjector::instance().tick();
         if (sim::Profiler::armed())
             sim::Profiler::instance().tick(cycle_);
         if (readyMayHaveShrunk_)

@@ -171,14 +171,6 @@ class Machine
     bool hasDeferred() const { return !deferred_.empty(); }
 
     /**
-     * External watchdog trip (sharded-mesh distributed watchdog):
-     * convert this machine's live threads into WatchdogTimeout
-     * faults exactly as an internal trip would. No-op if a watchdog
-     * already fired.
-     */
-    void forceWatchdogTrip(const char *why);
-
-    /**
      * Place this machine's thread slots at @p base in the
      * process-wide profiler's slot space (default 0). The sharded
      * mesh gives every node its own range, so one armed profiler
@@ -209,10 +201,8 @@ class Machine
     /**
      * True when nothing can make progress without outside help: no
      * Ready thread has a finite future wake-up scheduled and no
-     * split transaction is in flight. Cold path — the
-     * machine's own quiescence watchdog consults it only once its
-     * window is exceeded; the sharded mesh's distributed watchdog
-     * uses it to tell "parked, will resume" from "wedged for good".
+     * split transaction is in flight. Cold path — the quiescence
+     * watchdog consults it only once its window is exceeded.
      */
     bool quiescentNow() const;
 

@@ -284,14 +284,13 @@ ShardedMesh::drainEpoch()
     if (sim::TraceManager::anyEnabled())
         sim::TraceManager::instance().setCycle(epochTo_ - 1);
 
-    // Central injector ticks for the cycles the machines stepped,
-    // [from, to). Like a lone machine's run(), each tick carries the
-    // post-increment cycle, i.e. (from, to], in one canonical order
-    // for every host-thread count.
+    // One central injector tick per cycle the machines stepped, as a
+    // lone machine's run() ticks once per step(), in one canonical
+    // order for every host-thread count.
     if (sim::FaultInjector::armed()) {
         auto &inj = sim::FaultInjector::instance();
-        for (uint64_t c = epochFrom_; c < epochTo_; ++c)
-            inj.tick(c + 1);
+        for (uint64_t n = epochTo_ - epochFrom_; n != 0; --n)
+            inj.tick();
         // Mesh-scale fail-stop sites arm here — after the ticks,
         // before the drain — so an op already in flight to a node
         // that dies at this barrier fails *this* epoch.
@@ -356,60 +355,6 @@ ShardedMesh::drainEpoch()
     }
 }
 
-uint64_t
-ShardedMesh::progressCount() const
-{
-    // Instructions retired + faults taken across survivors: anything
-    // that counts as forward progress for the distributed watchdog.
-    // Only scanned while the mesh watchdog is armed.
-    uint64_t p = 0;
-    for (unsigned n = 0; n < machines_.size(); ++n) {
-        if (mesh_.nodeDead(n))
-            continue;
-        const isa::Machine &m = *machines_[n];
-        for (const isa::Thread &t : m.threads())
-            p += t.instsRetired();
-        p += m.faultLog().size();
-    }
-    return p;
-}
-
-void
-ShardedMesh::checkMeshWatchdog()
-{
-    const uint64_t progress = progressCount();
-    if (progress != lastProgress_) {
-        lastProgress_ = progress;
-        lastProgressCycle_ = cycle_;
-        return;
-    }
-    if (cycle_ - lastProgressCycle_ < config_.meshWatchdogCycles)
-        return;
-    // quiescentNow() reads each machine's own clock.
-    catchUpAll();
-    // No survivor progressed for a full window. Spurious-trip guard:
-    // a survivor stalled to a finite future cycle (long backoff) or
-    // holding a genuinely in-flight park will resume on its own —
-    // only trip when every survivor is quiescent for good.
-    for (unsigned n = 0; n < machines_.size(); ++n)
-        if (!mesh_.nodeDead(n) && !machines_[n]->allDone() &&
-            !machines_[n]->quiescentNow())
-            return;
-    meshWatchdogTripped_ = true;
-    sim::warn("sharded mesh: distributed watchdog trip at cycle %llu "
-              "(%u survivors, %llu dead nodes)",
-              static_cast<unsigned long long>(cycle_), survivors(),
-              static_cast<unsigned long long>(mesh_.deadNodeCount()));
-    for (unsigned n = 0; n < machines_.size(); ++n) {
-        if (!mesh_.nodeDead(n) && !machines_[n]->allDone()) {
-            // Every live thread faults: the node steps once more, at
-            // the next epoch's first cycle, and is then done.
-            machines_[n]->forceWatchdogTrip("mesh-quiescence");
-            sched_[n].wake = machines_[n]->wakeCycle();
-        }
-    }
-}
-
 namespace {
 
 const char *
@@ -437,8 +382,7 @@ ShardedMesh::postMortem(std::ostream &os) const
 {
     os << "=== mesh post-mortem @ cycle " << cycle_ << " ===\n"
        << "nodes=" << nodeCount() << " survivors=" << survivors()
-       << " hostThreads=" << hostThreads_ << " meshWatchdog="
-       << (meshWatchdogTripped_ ? "TRIPPED" : "clear") << "\n";
+       << " hostThreads=" << hostThreads_ << "\n";
 
     if (mesh_.degraded()) {
         os << "failure set: " << mesh_.deadNodeCount()
@@ -516,8 +460,6 @@ ShardedMesh::run(uint64_t max_cycles)
         }
         cycle_ = epochTo_;
         drainEpoch();
-        if (liveCount() != 0 && config_.meshWatchdogCycles != 0)
-            checkMeshWatchdog();
     }
     catchUpAll();
     exportShardStats();
@@ -608,7 +550,6 @@ ShardedMesh::signature() const
         for (unsigned n = 0; n < machines_.size(); ++n)
             mix(mesh_.nodeDead(n) ? 1 : 0);
         mix(deadOpsDropped_);
-        mix(meshWatchdogTripped_ ? 1 : 0);
     }
     if (sim::FaultInjector::armed())
         mix(sim::FaultInjector::instance().injectedTotal());

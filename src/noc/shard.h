@@ -29,10 +29,19 @@
  *    stalled owes its idle cycles, and Machine::idleTo() pays them in
  *    one step whenever something needs the node current (its next
  *    step, a completion or fail-stop at the barrier, the end of the
- *    epoch in which it finished, the profiler tick, the mesh
- *    watchdog's quiescence scan, the return of run()). Liveness is
- *    decided per operation too: a shard for the nodes it stepped, the
- *    drain for the nodes it completed ops on.
+ *    epoch in which it finished, the profiler tick, the return of
+ *    run()). Liveness is decided per operation too: a shard for the
+ *    nodes it stepped, the drain for the nodes it completed ops on.
+ *
+ *  - One watchdog. A node stops itself the way a lone machine does:
+ *    ShardConfig::machine carries the cycle budget and quiescence
+ *    window, and Machine::wakeCycle() keeps a node stepped in any
+ *    cycle whose check could trip. A split transaction never
+ *    outlives its epoch drain and no node can wake another node's
+ *    stalled thread, so a node quiescent by its own test is
+ *    quiescent for good; nothing mesh-wide is checked. A trip
+ *    happens on its shard's host thread, at the same simulated
+ *    cycle for every host-thread count.
  *
  *  - Singleton discipline. Machine::step() ticks no process-wide
  *    clock, so the barrier thread ticks the FaultInjector once per
@@ -78,16 +87,6 @@ struct ShardConfig
      * on the calling thread; clamped to the node count. Results are
      * identical for every value. */
     unsigned hostThreads = 1;
-    /** Distributed (mesh-wide) quiescence watchdog: when nonzero,
-     * trip once no surviving node has made progress (retired an
-     * instruction or taken a fault) for this many simulated cycles
-     * AND every surviving machine is genuinely quiescent (no finite
-     * scheduled wake-up, no in-flight split transaction). The trip
-     * converts every surviving live thread into a WatchdogTimeout
-     * fault and records a post-mortem (postMortem()). Checked at
-     * epoch barriers only, so it is a pure function of simulated
-     * state — identical for every host-thread count. 0 = off. */
-    uint64_t meshWatchdogCycles = 0;
 };
 
 /**
@@ -132,9 +131,6 @@ class ShardedMesh
 
     /** @return true if any machine's watchdog fired. */
     bool watchdogTripped() const;
-
-    /** @return true if the distributed mesh watchdog fired. */
-    bool meshWatchdogTripped() const { return meshWatchdogTripped_; }
 
     /**
      * Fail-stop death of node @p n, effective at the next epoch
@@ -231,14 +227,6 @@ class ShardedMesh
      * already in flight to a just-dead node fail this epoch. */
     void applyMeshFaults();
 
-    /** Distributed quiescence watchdog (see ShardConfig), checked
-     * at the barrier after the drain. */
-    void checkMeshWatchdog();
-
-    /** Progress metric for the mesh watchdog: instructions retired
-     * plus faults taken across surviving machines. */
-    uint64_t progressCount() const;
-
     /** run() entry: every machine rescans its threads, and liveness
      * and wakes are decided afresh for every node. */
     void startRun();
@@ -299,14 +287,11 @@ class ShardedMesh
     uint64_t epochFrom_ = 0;
     uint64_t epochTo_ = 0;
 
-    // Mesh-resilience state (raw members, not stat counters: a
+    // Mesh-resilience state (a raw member, not a stat counter: a
     // disarmed run's signature must stay byte-identical to the
-    // pre-resilience baselines; signature() mixes these only once
-    // the fabric is degraded).
+    // pre-resilience baselines; signature() mixes it only once the
+    // fabric is degraded).
     uint64_t deadOpsDropped_ = 0;
-    bool meshWatchdogTripped_ = false;
-    uint64_t lastProgress_ = 0;
-    uint64_t lastProgressCycle_ = 0;
 
     /// Per-shard simulated-load stat groups ("shard0", "shard1", ...)
     /// for tools/statdiff.py imbalance reporting. busy_cycles is

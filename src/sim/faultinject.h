@@ -34,7 +34,7 @@
  *    State that has no convenient opportunity point (e.g. resident
  *    words of a tagged memory) is covered by *tick targets*: hooks
  *    registered by the campaign wiring and invoked from
- *    `tick(cycle)` once per machine cycle when the site's Bernoulli
+ *    `tick()` once per machine cycle when the site's Bernoulli
  *    draw fires. The sim layer never includes mem/noc headers; the
  *    hooks close over whatever component they corrupt.
  *
@@ -209,9 +209,8 @@ class FaultInjector
      * without a hook costs nothing.
      */
     void
-    tick(uint64_t cycle)
+    tick()
     {
-        (void)cycle;
         if (!armed_)
             return;
         for (unsigned k = 0; k < tickCount_; ++k) {

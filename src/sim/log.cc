@@ -1,8 +1,10 @@
 #include "sim/log.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 namespace gp::sim {
 
@@ -13,9 +15,18 @@ std::atomic<bool> quietFlag{false};
 void
 vreport(const char *tag, const char *fmt, va_list args)
 {
-    std::fprintf(stderr, "%s: ", tag);
-    std::vfprintf(stderr, fmt, args);
-    std::fprintf(stderr, "\n");
+    // The whole line goes out in one write, so lines reported from
+    // several host threads (shard workers) never interleave.
+    va_list sizing;
+    va_copy(sizing, args);
+    const int len = std::vsnprintf(nullptr, 0, fmt, sizing);
+    va_end(sizing);
+    std::string line = std::string(tag) + ": ";
+    const size_t head = line.size();
+    line.resize(head + size_t(std::max(len, 0)) + 1);
+    std::vsnprintf(line.data() + head, line.size() - head, fmt, args);
+    line.back() = '\n';
+    std::fwrite(line.data(), 1, line.size(), stderr);
 }
 
 } // namespace

@@ -45,7 +45,7 @@ TEST(Campaign, GoldenCyclesUnchangedByDisarmedHardeningKnobs)
     // single cycle of a run that finishes inside the budget.
     CampaignConfig base;
     CampaignConfig watched = base;
-    watched.watchdogCycles = 30000;
+    watched.maxCycles = 30000;
     watched.watchdogQuiescence = 5000;
     CampaignRunner a(base), b(watched);
     EXPECT_EQ(a.goldenCycles(), b.goldenCycles());
@@ -129,14 +129,14 @@ TEST(Campaign, TlbUpsetOnAnEmptyTlbIsNoInjection)
                       [&tlb](sim::Rng &rng) {
                           return tlb.invalidateRandom(rng);
                       });
-    for (uint64_t c = 1; c <= 100; ++c)
-        inj.tick(c);
+    for (unsigned i = 0; i < 100; ++i)
+        inj.tick();
     EXPECT_EQ(inj.injectedTotal(), 0u);
     // One resident entry: the next tick corrupts it, then invalidates
     // it; every tick after that finds the TLB empty again.
     tlb.insert(5, 9);
-    for (uint64_t c = 101; c <= 200; ++c)
-        inj.tick(c);
+    for (unsigned i = 0; i < 100; ++i)
+        inj.tick();
     EXPECT_EQ(inj.injected(sim::FaultSite::TlbCorrupt), 1u);
     EXPECT_EQ(inj.injected(sim::FaultSite::TlbInvalidate), 1u);
     EXPECT_EQ(tlb.size(), 0u);
@@ -229,7 +229,7 @@ TEST(Campaign, AllFiveOutcomeClassesReachable)
     CampaignConfig cc;
     cc.runs = 60;
     cc.seed = 42;
-    cc.watchdogCycles = 30000;
+    cc.maxCycles = 30000;
     cc.faults.rate[unsigned(sim::FaultSite::MemDataBit)] = 3e-4;
     const CampaignTotals off = CampaignRunner(cc).runAll();
     EXPECT_GT(off.outcome(Outcome::Masked), 0u);

@@ -97,6 +97,27 @@ TEST(MeshCampaign, SignatureIdenticalAcrossHostThreads)
     EXPECT_EQ(t1.campaignSignature(), t2.campaignSignature());
 }
 
+TEST(MeshCampaign, LostRepliesHangTheSameAtEveryThreadCount)
+{
+    // With retransmission off a dropped message is never resent: its
+    // thread stalls forever, and only the node's own quiescence
+    // watchdog ends the run. Which runs hang, and how, is a pure
+    // function of the configuration.
+    MeshCampaignConfig cc = smallConfig();
+    cc.seed = 3;
+    cc.retrans.enabled = false;
+    cc.faults.rate[unsigned(sim::FaultSite::NocDrop)] = 3e-3;
+    cc.hostThreads = 1;
+    MeshCampaignRunner t1(cc);
+    const MeshCampaignTotals totals = t1.runAll();
+    EXPECT_GE(totals.outcome(MeshOutcome::Hang), 1u);
+    EXPECT_GE(totals.outcome(MeshOutcome::Masked), 1u);
+    cc.hostThreads = 4;
+    MeshCampaignRunner t4(cc);
+    t4.runAll();
+    EXPECT_EQ(t1.campaignSignature(), t4.campaignSignature());
+}
+
 TEST(MeshCampaign, FailStopIsDetectedNeverSilent)
 {
     // The headline tripwire: with node deaths armed hard enough to

@@ -2,7 +2,7 @@
  * @file
  * Mesh-scale fail-stop resilience under the sharded engine
  * (ISSUE 9): killNode semantics, typed NodeUnreachable surfacing for
- * survivors, the distributed quiescence watchdog (trips on genuine
+ * survivors, each node's own quiescence watchdog (trips on genuine
  * wedges, never on progress or in-flight parks), and — the
  * load-bearing invariant — bit-identical signatures across host
  * thread counts with the mesh-scale fault sites armed.
@@ -131,11 +131,11 @@ TEST(ShardFailures, SurvivorAccessToDeadHomeFaultsTyped)
 TEST(ShardFailures, MeshWatchdogTripsOnAWedgedSurvivor)
 {
     // A thread stalled forever (the shape a lost reply leaves) on an
-    // otherwise-finished mesh: only the distributed watchdog can
-    // reclaim the run. The trip must convert the wedge into
-    // WatchdogTimeout faults and end run() early.
+    // otherwise-finished mesh: only its node's quiescence watchdog
+    // can reclaim the run. The trip must convert the wedge into a
+    // WatchdogTimeout fault and end run() early.
     ShardConfig cfg = meshConfig(2);
-    cfg.meshWatchdogCycles = 1000;
+    cfg.machine.watchdogQuiescence = 1000;
     ShardedMesh shard(cfg);
     loadAll(shard, kLocalSrc);
     isa::Thread *wedged = shard.machine(0).spawn(
@@ -146,8 +146,11 @@ TEST(ShardFailures, MeshWatchdogTripsOnAWedgedSurvivor)
     wedged->stallTo(UINT64_MAX);
 
     const uint64_t ran = shard.run(400000);
-    EXPECT_TRUE(shard.meshWatchdogTripped());
+    EXPECT_TRUE(shard.machine(0).watchdogTripped());
+    for (unsigned n = 1; n < shard.nodeCount(); ++n)
+        EXPECT_FALSE(shard.machine(n).watchdogTripped()) << n;
     EXPECT_TRUE(shard.watchdogTripped());
+    EXPECT_TRUE(shard.allDone());
     EXPECT_EQ(wedged->state(), isa::ThreadState::Faulted);
     EXPECT_EQ(wedged->faultRecord().fault, Fault::WatchdogTimeout);
     EXPECT_LT(ran, 400000u) << "the trip must end the run early";
@@ -155,19 +158,18 @@ TEST(ShardFailures, MeshWatchdogTripsOnAWedgedSurvivor)
 
 TEST(ShardFailures, MeshWatchdogNeverTripsWhileProgressOrInFlight)
 {
-    // The tightest possible window. Remote-heavy traffic spends
-    // whole epochs with every thread parked on split transactions —
-    // in-flight parks and finite stalls must veto the trip, so even
-    // a 1-cycle window never fires on a healthy run, and the
-    // signature matches the watchdog-off run bit for bit.
+    // The tightest possible window on every node. Remote-heavy
+    // traffic spends whole epochs with every thread parked on split
+    // transactions — in-flight parks and finite stalls must veto the
+    // trip, so even a 1-cycle window never fires on a healthy run,
+    // and the signature matches the watchdog-off run bit for bit.
     auto runWith = [](uint64_t window) {
         ShardConfig cfg = meshConfig(2);
-        cfg.meshWatchdogCycles = window;
+        cfg.machine.watchdogQuiescence = window;
         ShardedMesh shard(cfg);
         loadAll(shard, kTrafficSrc);
         shard.run(200000);
         EXPECT_TRUE(shard.allDone());
-        EXPECT_FALSE(shard.meshWatchdogTripped());
         EXPECT_FALSE(shard.watchdogTripped());
         return shard.signature();
     };
@@ -177,7 +179,7 @@ TEST(ShardFailures, MeshWatchdogNeverTripsWhileProgressOrInFlight)
 TEST(ShardFailures, PostMortemNamesTheFailureSetAndWedge)
 {
     ShardConfig cfg = meshConfig(1);
-    cfg.meshWatchdogCycles = 1000;
+    cfg.machine.watchdogQuiescence = 1000;
     ShardedMesh shard(cfg);
     loadAll(shard, kLocalSrc);
     isa::Thread *wedged = shard.machine(2).spawn(
@@ -188,7 +190,7 @@ TEST(ShardFailures, PostMortemNamesTheFailureSetAndWedge)
     wedged->stallTo(UINT64_MAX);
     shard.killNode(1);
     shard.run(400000);
-    ASSERT_TRUE(shard.meshWatchdogTripped());
+    ASSERT_TRUE(shard.machine(2).watchdogTripped());
 
     std::ostringstream os;
     shard.postMortem(os);
@@ -201,6 +203,59 @@ TEST(ShardFailures, PostMortemNamesTheFailureSetAndWedge)
     EXPECT_NE(text.find("watchdog=TRIPPED"), std::string::npos);
     EXPECT_NE(text.find("watchdog-timeout"), std::string::npos)
         << "the fault tail must show the structured conversion";
+}
+
+TEST(ShardFailures, WedgedNodeTripsAloneWhileOthersRun)
+{
+    // Node 1 runs three instructions beside a thread that never
+    // wakes, while nodes 0, 2 and 3 run remote traffic. Node 1 stops
+    // itself exactly one window after its last issue, on whichever
+    // host thread simulates it, and the others run on to the end.
+    const uint64_t q = 50;
+    isa::Assembly traffic = isa::assemble(kTrafficSrc);
+    isa::Assembly local = isa::assemble(kLocalSrc);
+    isa::Assembly halt = isa::assemble("halt\n");
+    ASSERT_TRUE(traffic.ok && local.ok && halt.ok);
+    const Word full = makePointer(Perm::ReadWrite, 54, 0).value;
+    uint64_t sig[2] = {};
+    for (unsigned threads : {1u, 2u}) {
+        ShardConfig cfg = meshConfig(threads);
+        cfg.machine.watchdogQuiescence = q;
+        ShardedMesh shard(cfg);
+        for (unsigned n = 0; n < shard.nodeCount(); ++n) {
+            auto prog = isa::loadProgram(
+                shard.node(n), nodeBase(n) + 0x20000,
+                n == 1 ? local.words : traffic.words);
+            isa::Thread *t = shard.machine(n).spawn(prog.execPtr);
+            ASSERT_NE(t, nullptr);
+            t->setReg(1, full);
+            t->setReg(2, Word::fromInt(n));
+        }
+        isa::Thread *wedged = shard.machine(1).spawn(
+            isa::loadProgram(shard.node(1), nodeBase(1) + 0x30000,
+                             halt.words)
+                .execPtr);
+        ASSERT_NE(wedged, nullptr);
+        wedged->stallTo(UINT64_MAX);
+        uint64_t last_issue = 0;
+        shard.machine(1).setTraceHook(
+            [&last_issue](const isa::Thread &, const isa::Inst &,
+                          uint64_t cycle) { last_issue = cycle; });
+
+        shard.run(200000);
+        ASSERT_TRUE(shard.allDone()) << threads;
+        EXPECT_EQ(wedged->state(), isa::ThreadState::Faulted);
+        EXPECT_EQ(wedged->faultRecord().fault, Fault::WatchdogTimeout);
+        const uint64_t trip = wedged->faultRecord().cycle;
+        EXPECT_EQ(trip, last_issue + q) << threads;
+        for (unsigned n : {0u, 2u, 3u}) {
+            EXPECT_FALSE(shard.machine(n).watchdogTripped()) << n;
+            EXPECT_TRUE(shard.machine(n).faultLog().empty()) << n;
+            EXPECT_GT(shard.machine(n).cycle(), trip) << n;
+        }
+        sig[threads - 1] = shard.signature();
+    }
+    EXPECT_EQ(sig[0], sig[1]);
 }
 
 class ShardFailureDeterminism : public ::testing::Test
@@ -230,7 +285,7 @@ class ShardFailureDeterminism : public ::testing::Test
 
         ShardConfig cfg = meshConfig(hostThreads);
         cfg.retrans.enabled = true;
-        cfg.meshWatchdogCycles = 20000;
+        cfg.machine.watchdogQuiescence = 20000;
         ShardedMesh shard(cfg);
         loadAll(shard, kTrafficSrc);
         shard.run(400000);

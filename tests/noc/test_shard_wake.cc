@@ -247,27 +247,6 @@ TEST(ShardWake, QuiescenceCountsACompletionAtItsBarrier)
     EXPECT_EQ(wedged->faultRecord().cycle, barrier + q);
 }
 
-TEST(ShardWake, MeshWatchdogTripsAtItsBarrier)
-{
-    // Node 1's only thread never wakes, so the node is never stepped
-    // after its first cycle. The distributed watchdog's trip converts
-    // it at the barrier that trips, in that barrier's cycle; the node
-    // steps once more in the next epoch and is then done.
-    ShardConfig cfg = meshConfig(2, 2, 1, 2);
-    cfg.meshWatchdogCycles = 100;
-    ShardedMesh shard(cfg);
-    for (unsigned n : {0u, 2u, 3u})
-        spawnOn(shard, n, kTrafficSrc);
-    isa::Thread *wedged = spawnWedged(shard, 1);
-    shard.run(100000);
-    ASSERT_TRUE(shard.meshWatchdogTripped());
-    const uint64_t h = shard.epochHorizon();
-    EXPECT_EQ(wedged->faultRecord().fault, Fault::WatchdogTimeout);
-    EXPECT_EQ(wedged->faultRecord().cycle % h, 0u);
-    EXPECT_EQ(wedged->faultRecord().cycle + h, shard.cycle());
-    EXPECT_EQ(shard.machine(1).cycle(), shard.cycle());
-}
-
 TEST(ShardWake, KilledNodeFreezesAtItsBarrier)
 {
     // Between runs: the victim's clock stops where run() left it.

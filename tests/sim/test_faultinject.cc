@@ -182,8 +182,8 @@ TEST_F(FaultInjectTest, TickInvokesOnlyRegisteredHooks)
         calls++;
         return true;
     });
-    for (uint64_t c = 1; c <= 10; ++c)
-        inj.tick(c);
+    for (unsigned i = 0; i < 10; ++i)
+        inj.tick();
     EXPECT_EQ(calls, 10u);
     // TlbInvalidate had rate 1.0 but no hook: nothing fired for it
     // through tick().
@@ -191,8 +191,8 @@ TEST_F(FaultInjectTest, TickInvokesOnlyRegisteredHooks)
 
     // Re-arming clears stale hooks (they may close over dead state).
     inj.arm(fc);
-    for (uint64_t c = 1; c <= 10; ++c)
-        inj.tick(c);
+    for (unsigned i = 0; i < 10; ++i)
+        inj.tick();
     EXPECT_EQ(calls, 10u);
 }
 
@@ -210,8 +210,8 @@ TEST_F(FaultInjectTest, TickCountsOnlyFiringsThatStruck)
     inj.setTickTarget(FaultSite::TlbInvalidate, [&calls](Rng &) {
         return ++calls % 3 == 0;
     });
-    for (uint64_t c = 1; c <= 30; ++c)
-        inj.tick(c);
+    for (unsigned i = 0; i < 30; ++i)
+        inj.tick();
     EXPECT_EQ(calls, 30u);
     EXPECT_EQ(inj.injected(FaultSite::TlbInvalidate), 10u);
     EXPECT_EQ(inj.injectedTotal(), 10u);
@@ -219,8 +219,8 @@ TEST_F(FaultInjectTest, TickCountsOnlyFiringsThatStruck)
     inj.arm(fc);
     inj.setTickTarget(FaultSite::TlbInvalidate,
                       [](Rng &) { return false; });
-    for (uint64_t c = 1; c <= 30; ++c)
-        inj.tick(c);
+    for (unsigned i = 0; i < 30; ++i)
+        inj.tick();
     EXPECT_EQ(inj.injected(FaultSite::TlbInvalidate), 0u);
 }
 
@@ -259,7 +259,7 @@ TEST_F(FaultInjectTest, TickVisitsHookedSitesInAscendingOrder)
     auto ticked = [&] {
         got.clear();
         for (cycle = 1; cycle <= kCycles; ++cycle)
-            inj.tick(cycle);
+            inj.tick();
         return got;
     };
 

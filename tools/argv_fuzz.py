@@ -53,7 +53,7 @@ SEEDS = {
         ["prog.s", "--verify=strict", "--issue-width", "2",
          "--ecc=secded", "--dump-regs"],
         ["mesh.s", "--mesh", "2,2,1", "--threads", "2",
-         "--mesh-watchdog", "5000"],
+         "--max-cycles", "50000"],
         ["prog.s", "--profile=pc,interval", "--profile-interval=64",
          "--profile-out=fz_p.json", "--stats-json=fz_s.json"],
         ["prog.s", "--trace=exec", "--flight-recorder=8",
@@ -70,11 +70,11 @@ SEEDS = {
         ["--runs", "3", "--seed", "7", "--rate", "mem-data-bit=2e-4",
          "--iterations", "20"],
         ["--runs=2", "--ecc=secded", "--walk-retries", "2",
-         "--burst-max-bits=2", "--watchdog-cycles", "20000", "--rate",
+         "--burst-max-bits=2", "--max-cycles", "20000", "--rate",
          "tlb-corrupt=1e-4"],
         ["--mesh", "2,2,1", "--runs", "2", "--iterations", "8",
          "--threads", "2", "--rate", "node-fail-stop=2e-3",
-         "--max-cycles", "100000", "--mesh-watchdog", "5000"],
+         "--max-cycles", "100000"],
         ["--runs", "2", "--iterations", "10", "--verbose",
          "--expect-zero-sdc", "--stats-json=fz_c.json"],
         ["--list-sites"],

@@ -13,7 +13,7 @@
  *   gpfault [--runs N] [--seed N] [--iterations N]
  *           [--ecc=off|parity|secded] [--walk-retries N]
  *           [--rate SITE=R]... [--burst-max-bits N]
- *           [--watchdog-cycles N] [--stats-json=FILE]
+ *           [--max-cycles N] [--stats-json=FILE]
  *           [--verbose] [--list-sites]
  *           [--expect-zero-sdc] [--expect-detected]
  *
@@ -87,6 +87,9 @@ usage(const char *argv0)
         "                     mesh 48)\n"
         "  --rate SITE=R      per-opportunity fault rate at SITE\n"
         "                     (repeatable; see --list-sites)\n"
+        "  --max-cycles N     per-run cycle budget (default 300000;\n"
+        "                     mesh 400000); the fault-free run must\n"
+        "                     halt within it\n"
         "  --stats-json=FILE  export the campaign stat group as JSON\n"
         "  --verbose          one line per run\n"
         "  --list-sites       print each fault site and the arm that\n"
@@ -97,15 +100,12 @@ usage(const char *argv0)
         "  --ecc=MODE         off | parity | secded (default off)\n"
         "  --walk-retries N   transient page-walk retries (default 0)\n"
         "  --burst-max-bits N max bits per cache-line burst (default 4)\n"
-        "  --watchdog-cycles N  per-run hang budget (default 300000)\n"
         "mesh campaign (multi-node fail-stop resilience):\n"
         "  --mesh X,Y,Z       run the mesh campaign on an XxYxZ mesh\n"
         "                     (at most 64 nodes)\n"
         "  --threads N        host threads per run (default 1); the\n"
         "                     printed campaign signature is identical\n"
         "                     for every value\n"
-        "  --max-cycles N     per-run cycle budget (default 400000)\n"
-        "  --mesh-watchdog N  mesh quiescence window (default 20000)\n"
         "  --no-retrans       disable the end-to-end retry protocol\n"
         "exit status: 0 done, 1 an --expect-* tripwire failed,\n"
         "             2 bad input (nothing ran)\n",
@@ -198,6 +198,12 @@ parseArgs(int argc, char **argv, Options &opts, bool &exitEarly)
             opts.meshCampaign.iterations = opts.campaign.iterations;
             continue;
         }
+        if (valueOf("--max-cycles", value)) {
+            opts.campaign.maxCycles =
+                numberArg("gpfault", "--max-cycles", value);
+            opts.meshCampaign.maxCycles = opts.campaign.maxCycles;
+            continue;
+        }
         if (valueOf("--walk-retries", value)) {
             opts.campaign.walkRetries = unsigned(numberArg(
                 "gpfault", "--walk-retries", value, UINT32_MAX));
@@ -208,12 +214,6 @@ parseArgs(int argc, char **argv, Options &opts, bool &exitEarly)
             opts.campaign.faults.burstMaxBits =
                 numberArg("gpfault", "--burst-max-bits", value);
             opts.singleFlag = "--burst-max-bits";
-            continue;
-        }
-        if (valueOf("--watchdog-cycles", value)) {
-            opts.campaign.watchdogCycles =
-                numberArg("gpfault", "--watchdog-cycles", value);
-            opts.singleFlag = "--watchdog-cycles";
             continue;
         }
         if (valueOf("--stats-json", value)) {
@@ -237,18 +237,6 @@ parseArgs(int argc, char **argv, Options &opts, bool &exitEarly)
             opts.meshCampaign.hostThreads = unsigned(
                 numberArg("gpfault", "--threads", value, UINT32_MAX));
             opts.meshFlag = "--threads";
-            continue;
-        }
-        if (valueOf("--max-cycles", value)) {
-            opts.meshCampaign.maxCycles =
-                numberArg("gpfault", "--max-cycles", value);
-            opts.meshFlag = "--max-cycles";
-            continue;
-        }
-        if (valueOf("--mesh-watchdog", value)) {
-            opts.meshCampaign.meshWatchdogCycles =
-                numberArg("gpfault", "--mesh-watchdog", value);
-            opts.meshFlag = "--mesh-watchdog";
             continue;
         }
         if (arg == "--no-retrans") {
@@ -280,6 +268,20 @@ int
 runCampaign(const Options &opts, Runner &runner, std::ofstream &stats,
             RunCounts runCounts, Header header)
 {
+    // Every run is judged against the fault-free one; if that does
+    // not halt, each run would be a vacuous hang. Its budget warning
+    // would only repeat the message below.
+    const bool was_quiet = sim::quiet();
+    sim::setQuiet(true);
+    const bool halts = runner.goldenHalts();
+    sim::setQuiet(was_quiet);
+    if (!halts)
+        badInput("gpfault",
+                 "the fault-free golden run does not halt within "
+                 "--max-cycles " +
+                     std::to_string(runner.config().maxCycles) +
+                     ", so there is nothing to compare runs against");
+
     const auto totals = runner.runAll();
 
     if (opts.verbose) {
@@ -375,18 +377,6 @@ main(int argc, char **argv)
         fault::MeshCampaignConfig &mc = opts.meshCampaign;
         mc.faults = opts.campaign.faults;
         fault::MeshCampaignRunner runner(mc);
-        // Every run is judged against the failure-free one; if that
-        // does not halt, each run would be a vacuous "hang". Its
-        // budget warning would only repeat the message below.
-        const bool was_quiet = sim::quiet();
-        sim::setQuiet(true);
-        const bool halts = runner.goldenHalts();
-        sim::setQuiet(was_quiet);
-        if (!halts)
-            badInput("gpfault",
-                     "the failure-free golden run does not halt within "
-                     "--max-cycles " + std::to_string(mc.maxCycles) +
-                         ", so there is nothing to compare runs against");
         return runCampaign(
             opts, runner, stats,
             [](const fault::MeshRunResult &r) {

@@ -88,7 +88,6 @@ struct Options
     uint32_t traceMask = 0;       //!< text-sink categories (0 = off)
     std::string traceOut;         //!< Chrome trace-event JSON path
     size_t flightRecorder = 0;    //!< ring depth (0 = disarmed)
-    uint64_t meshWatchdog = 0;    //!< mesh quiescence window (0 = off)
     std::string statsJson;        //!< stats JSON export path
     bool verify = false;          //!< run gpverify before executing
     bool verifyStrict = false;    //!< ... and make warnings fatal
@@ -117,18 +116,16 @@ usage(const char *argv0)
         "                   epoch engine; prints a deterministic\n"
         "                   signature; an epoch lasts the mesh\n"
         "                   lookahead (the minimum message latency)\n"
-        "  --mesh-watchdog N  distributed quiescence watchdog: trip\n"
-        "                   (with a post-mortem) after N cycles of\n"
-        "                   zero mesh-wide progress (requires --mesh)\n"
         "  --data BYTES     size of each thread's r1 data segment "
         "(default 4096;\n"
         "                   not with --mesh)\n"
         "  --clusters N     hardware clusters (default 4, at most\n"
         "                   1024)\n"
         "  --issue-width N  instructions/cluster/cycle (default 1)\n"
-        "  --max-cycles N   cycle budget; arms the machine watchdog,\n"
-        "                   so hangs die with WatchdogTimeout and\n"
-        "                   exit status 3 (default 10M)\n"
+        "  --max-cycles N   cycle budget; arms the machine watchdog\n"
+        "                   (every node's with --mesh), so hangs die\n"
+        "                   with WatchdogTimeout and exit status 3\n"
+        "                   (default 10M)\n"
         "  --ecc=MODE       memory protection over stored words:\n"
         "                   off | parity | secded (default off)\n"
         "  --privileged     load as privileged code\n"
@@ -217,11 +214,6 @@ parseArgs(int argc, char **argv, Options &opts)
         if (valueOf("--flight-recorder", value)) {
             opts.flightRecorder =
                 numberArg("gpsim", "--flight-recorder", value, SIZE_MAX);
-            continue;
-        }
-        if (valueOf("--mesh-watchdog", value)) {
-            opts.meshWatchdog =
-                numberArg("gpsim", "--mesh-watchdog", value);
             continue;
         }
         if (valueOf("--stats-json", value)) {
@@ -338,8 +330,6 @@ validateOptions(const Options &opts)
                std::to_string(opts.clusters) + " cluster(s)";
     if (opts.profileIntervalSet && !opts.profile)
         return "--profile-interval requires --profile";
-    if (opts.meshWatchdog != 0 && !opts.mesh)
-        return "--mesh-watchdog requires --mesh";
     if (opts.fastMode && opts.mesh)
         return "--fast is functional-only and cannot drive the mesh "
                "timing model; drop --fast or --mesh";
@@ -416,7 +406,6 @@ build(const Options &opts)
     scfg.node.ecc = opts.ecc;
     scfg.machine = mcfg;
     scfg.hostThreads = opts.threads;
-    scfg.meshWatchdogCycles = opts.meshWatchdog;
     // The profiler, trace sinks and flight recorder are process-wide,
     // with no per-shard buffering, so an observed mesh runs on one
     // host thread. Results are identical at every thread count.
@@ -669,10 +658,9 @@ main(int argc, char **argv)
         sim::StatRegistry::instance().exportJson(statsOut);
     tracer.closeJson();
 
-    const bool tripped =
-        sys.mesh ? sys.mesh->watchdogTripped() ||
-                       sys.mesh->meshWatchdogTripped()
-                 : sys.kernel->machine().watchdogTripped();
+    const bool tripped = sys.mesh
+                             ? sys.mesh->watchdogTripped()
+                             : sys.kernel->machine().watchdogTripped();
     if (tripped) {
         std::fprintf(stderr,
                      "gpsim: watchdog tripped after %llu cycles "

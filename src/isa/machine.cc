@@ -172,7 +172,6 @@ Machine::initStats()
     checksElided_ = &stats_.counter("elide_checks_elided");
     checksExecuted_ = &stats_.counter("elide_checks_executed");
     elideCyclesSaved_ = &stats_.counter("elide_cycles_saved");
-    predecode_.assign(kPredecodeEntries, PredecodedInst{});
     for (unsigned i = 0; i < kInstClassCount; ++i)
         mix_[i] = &stats_.counter(std::string("mix_") + kClassNames[i]);
     // Per-kind fault counters. Kinds through WatchdogTimeout are
@@ -191,7 +190,7 @@ Machine::initStats()
 void
 Machine::flushPredecode()
 {
-    predecode_.assign(kPredecodeEntries, PredecodedInst{});
+    predecode_.clear();
     proofsDirty_ = false;
 }
 
@@ -731,9 +730,9 @@ Machine::finishFetch(Thread &thread, const mem::MemAccess &f)
     // changes invalidate entries implicitly. Tagged words never
     // decode, hence the isPointer() guard on the hit path.
     const uint64_t ip_addr = thread.ip().addr();
-    PredecodedInst &slot =
-        predecode_[(ip_addr >> 3) & (kPredecodeEntries - 1)];
-    if (slot.addr == ip_addr && slot.bits == f.data.bits() &&
+    const size_t index = (ip_addr >> 3) & (kPredecodeEntries - 1);
+    PredecodedInst &slot = predecode_[index];
+    if (slot.key == ~ip_addr && slot.bits == f.data.bits() &&
         !f.data.isPointer()) {
         (*predecodeHits_)++;
     } else {
@@ -742,7 +741,8 @@ Machine::finishFetch(Thread &thread, const mem::MemAccess &f)
             faultThread(thread, Fault::InvalidInstruction);
             return;
         }
-        slot.addr = ip_addr;
+        predecode_.fill(index); // marks the chunk slot lies in
+        slot.key = ~ip_addr;
         slot.bits = f.data.bits();
         slot.inst = *decoded;
         // Bake the elision verdict on the miss only: the hot hit path

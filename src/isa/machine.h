@@ -33,6 +33,7 @@
 #include "mem/memory_system.h"
 #include "sim/profile.h"
 #include "sim/stats.h"
+#include "sim/zeroed_array.h"
 
 namespace gp::isa {
 
@@ -428,8 +429,8 @@ class Machine
      */
     struct PredecodedInst
     {
-        uint64_t addr = UINT64_MAX; //!< fetch vaddr (UINT64_MAX: empty)
-        uint64_t bits = 0;          //!< raw word the decode came from
+        uint64_t key = 0;  //!< ~fetch vaddr (0, all zero bytes: empty)
+        uint64_t bits = 0; //!< raw word the decode came from
         Inst inst;
         /// Elision verdict baked at decode time (kElide* bits, with
         /// kElidePrivileged reflecting the proof's privilege mode);
@@ -566,8 +567,10 @@ class Machine
     bool proofsDirty_ = false;
 
     /// Direct-mapped predecoded-instruction cache, indexed by
-    /// (vaddr >> 3) & (kPredecodeEntries - 1).
-    std::vector<PredecodedInst> predecode_;
+    /// (vaddr >> 3) & (kPredecodeEntries - 1). The miss fill is its
+    /// only writer; see sim::ZeroedArray for why a machine holds only
+    /// the pages its run decodes into.
+    sim::ZeroedArray<PredecodedInst> predecode_{kPredecodeEntries};
 
     /// Outstanding split transactions (one per Pending thread, at
     /// most threads_.size() entries — linear lookup is fine).

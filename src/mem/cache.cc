@@ -14,18 +14,26 @@ log2Exact(uint64_t v, const char *what)
     return static_cast<unsigned>(__builtin_ctzll(v));
 }
 
+/// Lines in the array. Runs after the line-size and bank-count
+/// checks (members lineShift_ and bankShift_ come first), before the
+/// array is built.
+uint64_t
+lineCount(const CacheConfig &config)
+{
+    log2Exact(config.setsPerBank, "sets per bank");
+    if (config.ways == 0)
+        sim::fatal("cache associativity must be nonzero");
+    return uint64_t(config.banks) * config.setsPerBank * config.ways;
+}
+
 } // namespace
 
-Cache::Cache(const CacheConfig &config) : config_(config)
+Cache::Cache(const CacheConfig &config)
+    : config_(config),
+      lineShift_(log2Exact(config.lineBytes, "line size")),
+      bankShift_(log2Exact(config.banks, "bank count")),
+      lines_(lineCount(config))
 {
-    lineShift_ = log2Exact(config_.lineBytes, "line size");
-    bankShift_ = log2Exact(config_.banks, "bank count");
-    log2Exact(config_.setsPerBank, "sets per bank");
-    if (config_.ways == 0)
-        sim::fatal("cache associativity must be nonzero");
-    lines_.resize(uint64_t(config_.banks) * config_.setsPerBank *
-                  config_.ways);
-
     // Register every stat once; the access path only increments
     // through these handles (see docs/OBSERVABILITY.md).
     hits_ = &stats_.counter("hits");
@@ -108,6 +116,7 @@ Cache::access(uint64_t vaddr, bool is_write, uint16_t asid,
         if (line.lruStamp < victim->lruStamp)
             victim = &line;
     }
+    lines_.fill(size_t(victim - &lines_[0])); // marks victim's chunk
 
     CacheResult result{false, false, 0, 0};
     if (victim->valid && victim->dirty) {
@@ -197,13 +206,13 @@ Cache::invalidatePage(uint64_t vaddr, unsigned page_shift, uint16_t asid)
 unsigned
 Cache::flushAll()
 {
+    // Lines outside the written chunks are all zero, hence invalid.
     unsigned dirty = 0;
-    for (Line &line : lines_) {
+    lines_.forEachWritten([&](const Line &line) {
         if (line.valid && line.dirty)
             dirty++;
-        line.valid = false;
-        line.dirty = false;
-    }
+    });
+    lines_.clear();
     (*fullFlushes_)++;
     (*flushWritebacks_) += dirty;
     return dirty;

@@ -18,9 +18,9 @@
 #define GP_MEM_CACHE_H
 
 #include <cstdint>
-#include <vector>
 
 #include "sim/stats.h"
+#include "sim/zeroed_array.h"
 
 namespace gp::mem {
 
@@ -130,8 +130,9 @@ class Cache
     sim::StatGroup &stats() { return stats_; }
 
   private:
-    /// 32 bytes: MemConfig's default 4096-line array is 128 KiB per
-    /// cache, and a 64-node mesh holds 64 of them.
+    /// 32 bytes, and all zero bytes is an invalid line. MemConfig's
+    /// default 4096 lines span 128 KiB; in a sim::ZeroedArray a cache
+    /// holds only the pages its fills wrote.
     struct Line
     {
         uint64_t lineAddr = 0; //!< vaddr >> log2(lineBytes)
@@ -155,7 +156,10 @@ class Cache
     CacheConfig config_;
     unsigned lineShift_;
     unsigned bankShift_;
-    std::vector<Line> lines_; //!< [bank][set][way] flattened
+    /// [bank][set][way] flattened. Only access()'s install writes an
+    /// invalid line, so it alone marks chunks; every other write
+    /// touches a valid line, which lies in a marked chunk.
+    sim::ZeroedArray<Line> lines_;
     uint64_t stamp_ = 0;
     sim::StatGroup stats_{"cache"};
 

@@ -154,5 +154,57 @@ TEST_F(PredecodeTest, FlushPredecodeIsObservationallyInvisible)
         << "cold decode path must cost zero simulated cycles";
 }
 
+TEST_F(PredecodeTest, RecycledMachineRunsLikeAFreshOne)
+{
+    // A machine built after another one in this thread takes over its
+    // predecode table and cache lines. A stale entry would show as a
+    // predecode hit or a cache hit the first machine did not have.
+    const char *src = R"(
+        movi r3, 0
+        movi r4, 300
+        loop:
+        shli r5, r3, 5
+        andi r5, r5, 8191
+        leab r6, r2, r5
+        ld r7, 0(r6)
+        add r7, r7, r3
+        st r7, 0(r6)
+        addi r3, r3, 1
+        bne r3, r4, loop
+        halt
+    )";
+    struct Counts
+    {
+        uint64_t predecodeHits, predecodeMisses, cacheHits, cacheMisses,
+            cycles;
+        bool operator==(const Counts &) const = default;
+    };
+    auto run_once = [&] {
+        nextBase_ = uint64_t(1) << 24;
+        dataBase_ = uint64_t(1) << 30;
+        Thread *t = run(src, {{2, data(13)}});
+        EXPECT_EQ(t->state(), ThreadState::Halted);
+        sim::StatGroup &cache = machine_->mem().cache().stats();
+        return Counts{machine_->stats().get("predecode_hits"),
+                      machine_->stats().get("predecode_misses"),
+                      cache.get("hits"), cache.get("misses"),
+                      machine_->cycle()};
+    };
+    const Counts first = run_once();
+    EXPECT_EQ(first.predecodeMisses, 11u);
+    EXPECT_GT(first.cacheMisses, 256u);
+
+    machine_.reset();
+    SetUp();
+    const Counts second = run_once();
+    EXPECT_TRUE(second == first)
+        << "predecode " << second.predecodeHits << "/"
+        << second.predecodeMisses << " vs " << first.predecodeHits << "/"
+        << first.predecodeMisses << ", cache " << second.cacheHits << "/"
+        << second.cacheMisses << " vs " << first.cacheHits << "/"
+        << first.cacheMisses << ", cycles " << second.cycles << " vs "
+        << first.cycles;
+}
+
 } // namespace
 } // namespace gp::isa

@@ -348,5 +348,26 @@ TEST(Cache, DirectMappedConfig)
     EXPECT_FALSE(cache.probe(0x0));
 }
 
+TEST(Cache, RecycledCacheStartsEmpty)
+{
+    // The first cache fills every way of every set, dirty; a cache
+    // built after it in this thread takes over its line array.
+    const CacheConfig c; // the MAP chip's 4096 lines
+    const uint64_t span = 2 * Cache(c).capacityBytes();
+    {
+        Cache first(c);
+        for (uint64_t a = 0; a < span; a += c.lineBytes)
+            first.access(a, true, uint16_t(a >> 17));
+        ASSERT_EQ(first.stats().get("misses"), span / c.lineBytes);
+    }
+    Cache second(c);
+    for (uint64_t a = 0; a < span; a += c.lineBytes)
+        ASSERT_FALSE(second.probe(a, uint16_t(a >> 17))) << std::hex << a;
+    EXPECT_EQ(second.flushAll(), 0u);
+    const CacheResult r = second.access(span - c.lineBytes, false, 1);
+    EXPECT_FALSE(r.hit);
+    EXPECT_FALSE(r.writeback);
+}
+
 } // namespace
 } // namespace gp::mem

@@ -201,6 +201,13 @@ parseArgs(int argc, char **argv, Options &opts, bool &exitEarly)
         if (valueOf("--max-cycles", value)) {
             opts.campaign.maxCycles =
                 numberArg("gpfault", "--max-cycles", value);
+            // 0 would turn the single arm's watchdog off but leave
+            // the mesh arm no cycle to run: both arms refuse it.
+            if (opts.campaign.maxCycles == 0)
+                badInput("gpfault", "bad value for --max-cycles: '" +
+                                        value +
+                                        "' (want a cycle budget of at "
+                                        "least 1)");
             opts.meshCampaign.maxCycles = opts.campaign.maxCycles;
             continue;
         }

@@ -220,7 +220,7 @@ CampaignRunner::execute(const uint64_t *runSeed)
         }
     }
 
-    h.machine.run(config_.maxCycles + 10000);
+    h.machine.run(config_.maxCycles + kRunSlackCycles);
 
     RunResult r;
     r.cycles = h.machine.cycle();

@@ -88,6 +88,10 @@ outcomeName(Outcome o)
     }
 }
 
+/// Cycles a single-arm run goes past its budget, so the machine
+/// watchdog trips inside the run, not at its end.
+inline constexpr uint64_t kRunSlackCycles = 10000;
+
 /** Full configuration of one campaign. */
 struct CampaignConfig
 {

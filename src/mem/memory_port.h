@@ -3,11 +3,12 @@
  * Abstract memory port: the interface a processor needs from its
  * memory system.
  *
- * Implemented by the single-node MemorySystem and by the
- * multicomputer's per-node NodeMemory, so the same Machine (and the
- * same programs) run unmodified on either — which is itself the
- * paper's §3 point: the processor side of a guarded-pointer machine
- * is oblivious to where in the global space its pointers land.
+ * Implemented once for timed runs, by mem::AccessPath, which a lone
+ * machine's MemorySystem and a mesh node's noc::NodeMemory share, and
+ * by the functional FastPort. The same Machine (and the same programs)
+ * run unmodified on any of them — which is itself the paper's §3
+ * point: the processor side of a guarded-pointer machine is oblivious
+ * to where in the global space its pointers land.
  */
 
 #ifndef GP_MEM_MEMORY_PORT_H

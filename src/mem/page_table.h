@@ -20,12 +20,17 @@
 
 namespace gp::mem {
 
+/// Page size of every page table behind a timed memory port: the lone
+/// machine's and each mesh slice's.
+inline constexpr unsigned kPageShift = 12;
+inline constexpr uint64_t kPageBytes = uint64_t(1) << kPageShift;
+
 /** Global virtual-to-physical page mapping with a frame allocator. */
 class PageTable
 {
   public:
     /** @param page_bytes page size; must be a power of two. */
-    explicit PageTable(uint64_t page_bytes = 4096);
+    explicit PageTable(uint64_t page_bytes = kPageBytes);
 
     /** @return log2(page size). */
     unsigned pageShift() const { return pageShift_; }
@@ -74,8 +79,9 @@ class PageTable
     static constexpr size_t kMemoEntries = 64;
 
     /// One slot of the translateAddr() memo. Purely a host-speed
-    /// cache: the timed hit path performs a functional translation
-    /// per access, and the working set of pages is tiny. A positive
+    /// cache: the timed miss path translates once per miss, also on
+    /// an LTLB hit (a line records the table's frame), and the working
+    /// set of pages is tiny. A positive
     /// translation can only change via unmap(), which evicts the
     /// affected slot, so a memo hit is always identical to the map
     /// lookup.

@@ -1,18 +1,26 @@
 /**
  * @file
- * Per-node memory system of the multicomputer (paper §3).
+ * Per-node memory port of the multicomputer (paper §3).
  *
  * The M-Machine's 54-bit space is global across nodes: the high
  * address bits name the home node, and a guarded pointer to remote
  * memory is *exactly* the same 64-bit word as a local one — no proxy
  * objects, no message-passing stubs, no per-node capability tables.
  *
- * Each node has its own banked virtually-addressed cache and LTLB;
- * the page table and tagged physical storage are global (the home
- * node owns the data; the model keeps them in one shared structure).
- * A miss whose line lives on a remote home pays a mesh round trip —
- * one request flit out, a cache line of flits back — on top of the
- * remote memory access.
+ * Each node has its own banked virtually-addressed cache and LTLB and
+ * runs the same access path as a lone machine (mem::AccessPath:
+ * pointer check, virtual cache probe, translation only on a miss,
+ * tagged-data step). The page table and tagged physical storage of an
+ * address belong to its home node's slice of the global memory. What
+ * only a node has is the home leg: an issue gate (a home outside the
+ * mesh faults NodeUnreachable at issue; under the sharded engine a
+ * remote home is deferred to the epoch exchange), and the line fill,
+ * which for a remote home pays a mesh round trip — one request flit
+ * out, a cache line of flits back — on top of the memory access
+ * there. A node charges none of a lone machine's bank and
+ * external-port model yet: no arbitration, no ECC fill cycle and no
+ * writeback cost (tests/noc/test_node_memory_parity.cc pins each
+ * difference).
  *
  * Modelling note: the per-node cache is behavioural (timing) only;
  * data functionally reads and writes the global store, so stores are
@@ -33,7 +41,7 @@
 #include <vector>
 
 #include "gp/ops.h"
-#include "mem/memory_system.h"
+#include "mem/access_path.h"
 #include "noc/mesh.h"
 #include "noc/retransmit.h"
 
@@ -76,11 +84,20 @@ nodeBase(unsigned node)
 class GlobalMemory
 {
   public:
-    /// One home node's share of the space.
-    struct Slice
+    /// One home node's share of the space. Its page table is
+    /// read-only from outside, as MemorySystem::pageTable() is: only a
+    /// node's access path maps a page (on demand), and nothing can
+    /// unmap one behind the frames its cache lines recorded.
+    class Slice
     {
-        mem::PageTable pageTable{4096};
+      public:
+        const mem::PageTable &pageTable() const { return pageTable_; }
+
         mem::TaggedMemory phys;
+
+      private:
+        friend class NodeMemory;
+        mem::PageTable pageTable_{mem::kPageBytes};
     };
 
     GlobalMemory() = default;
@@ -186,79 +203,12 @@ class EpochExchange
 };
 
 /** One node's cache/TLB view of the global space. */
-class NodeMemory : public mem::MemoryPort
+class NodeMemory : public mem::AccessPath<NodeMemory>
 {
   public:
     NodeMemory(unsigned node, Mesh &mesh, GlobalMemory &global,
                const mem::MemConfig &config = mem::MemConfig{},
                const RetransConfig &retrans = RetransConfig{});
-
-    /** Timed load through a guarded pointer (local or remote);
-     * elide_check skips the guarded-pointer access check under a
-     * verifier proof (translation/NoC behaviour unchanged). */
-    mem::MemAccess
-    load(Word ptr, unsigned size, uint64_t now = 0,
-         bool elide_check = false)
-    {
-        return access(ptr, Access::Load, size, now, Word{},
-                      elide_check);
-    }
-
-    /** Timed store through a guarded pointer (local or remote). */
-    mem::MemAccess
-    store(Word ptr, Word value, unsigned size, uint64_t now = 0,
-          bool elide_check = false)
-    {
-        return access(ptr, Access::Store, size, now, value,
-                      elide_check);
-    }
-
-    /** Timed instruction fetch (local or remote code!); elide_check
-     * skips the per-fetch pointer check while the caller holds an IP
-     * proof (isa::Thread::ipProven). */
-    mem::MemAccess
-    fetch(Word ip, uint64_t now = 0, bool elide_check = false)
-    {
-        return access(ip, Access::InstFetch, 8, now, Word{},
-                      elide_check);
-    }
-
-    // MemoryPort interface — a Machine runs against a node directly.
-    mem::MemAccess
-    portLoad(Word ptr, unsigned size, uint64_t now,
-             bool elide_check = false) override
-    {
-        return load(ptr, size, now, elide_check);
-    }
-    mem::MemAccess
-    portStore(Word ptr, Word value, unsigned size, uint64_t now,
-              bool elide_check = false) override
-    {
-        return store(ptr, value, size, now, elide_check);
-    }
-    mem::MemAccess
-    portFetch(Word ip, uint64_t now, bool elide_check = false) override
-    {
-        return fetch(ip, now, elide_check);
-    }
-    void
-    portPoke(uint64_t vaddr, Word w) override
-    {
-        pokeWord(vaddr, w);
-    }
-    Word
-    portPeek(uint64_t vaddr) override
-    {
-        return peekWord(vaddr);
-    }
-
-    /** Untimed functional write (loader/host use). */
-    void pokeWord(uint64_t vaddr, Word w);
-
-    /** Untimed functional read. */
-    Word peekWord(uint64_t vaddr);
-
-    sim::StatGroup &stats() { return stats_; }
 
     /** Accesses that faulted NodeUnreachable (dead home / no route). */
     uint64_t
@@ -290,19 +240,26 @@ class NodeMemory : public mem::MemoryPort
     mem::MemAccess resolveDeferred(const DeferredAccess &op);
 
   private:
-    mem::MemAccess access(Word ptr, Access kind, unsigned size,
-                          uint64_t now, Word store_value,
-                          bool elide_check = false);
+    friend class mem::AccessPath<NodeMemory>;
 
-    /** The access after its pre-issue check, and the one place a
-     * finished access is counted — shared by the synchronous path and
-     * resolveDeferred(). */
-    mem::MemAccess accessBody(Word ptr, Access kind, unsigned size,
-                              uint64_t now, Word store_value);
-
-    /** Cache, translation, NoC legs and the tagged-data step. */
-    mem::MemAccess timedAccess(Word ptr, Access kind, unsigned size,
-                               uint64_t now, Word store_value);
+    // AccessPath hooks (see mem/access_path.h).
+    bool admit(Word ptr, Access kind, unsigned size, uint64_t now,
+               Word value, mem::MemAccess &acc);
+    uint64_t start(unsigned, uint64_t, uint64_t now) { return now; }
+    bool walkTransient() { return false; }
+    bool fill(uint64_t vaddr, Access kind, uint64_t frame, unsigned bank,
+              uint64_t now, uint64_t &t, mem::MemAccess &acc);
+    void deliver(mem::MemAccess &acc);
+    mem::PageTable &
+    tableFor(uint64_t vaddr)
+    {
+        return global_.sliceFor(vaddr).pageTable_;
+    }
+    mem::TaggedMemory &
+    physFor(uint64_t vaddr)
+    {
+        return global_.sliceFor(vaddr).phys;
+    }
 
     /**
      * One NoC leg of a remote miss, the request or the line reply:
@@ -326,30 +283,30 @@ class NodeMemory : public mem::MemoryPort
     GlobalMemory &global_;
     EpochExchange *exchange_ = nullptr;
     uint64_t nextTicket_ = 0;
-    mem::MemConfig config_;
+    // In stat-group registration order: cache, tlb, nodeN_retrans,
+    // nodeN.
     mem::Cache cache_;
     mem::Tlb tlb_;
     Retransmitter retrans_;
     sim::StatGroup stats_;
+    /// The last fill's line reply arrived mangled on a raw link:
+    /// deliver() flips one bit of the loaded word.
+    bool flipReply_ = false;
 
-    // Cached stat handles (stable for the life of stats_): access()
-    // is the per-reference hot path of every multicomputer run, so it
-    // pays plain increments, never string-keyed map lookups
-    // (docs/OBSERVABILITY.md).
-    sim::Counter *hits_ = nullptr;
+    // Cached stat handles of the node-only counters (the shared ones
+    // live in AccessPath): plain increments on the per-reference
+    // path, never string-keyed map lookups (docs/OBSERVABILITY.md).
     sim::Counter *localMisses_ = nullptr;
     sim::Counter *remoteMisses_ = nullptr;
     sim::Counter *remoteLatency_ = nullptr;
-    /// loads/stores/fetches, indexed by Access.
-    sim::Counter *completed_[3] = {};
-    sim::Counter *accessFaults_ = nullptr;
-    sim::Counter *unmappedFaults_ = nullptr;
-    sim::Counter *staleUnmappedFaults_ = nullptr;
     sim::Counter *nocDeliveryFailures_ = nullptr;
     sim::Counter *nocHangs_ = nullptr;
     sim::Counter *nocReplyCorruptions_ = nullptr;
-    sim::Counter *eccCorrected_ = nullptr;
-    sim::Counter *eccDetected_ = nullptr;
+    /// A node's walks never fail transiently, so it registers neither
+    /// walk counter; these per-instance counters stand in (never a
+    /// shared static: shard workers run nodes in parallel).
+    sim::Counter walkTransientsUnregistered_;
+    sim::Counter walkRetryExhaustedUnregistered_;
     /// Registered lazily on the first NodeUnreachable (cold path):
     /// the sharded-mesh signature mixes every node counter, so a
     /// failure-free run must expose exactly the counter set the
@@ -358,5 +315,7 @@ class NodeMemory : public mem::MemoryPort
 };
 
 } // namespace gp::noc
+
+extern template class gp::mem::AccessPath<gp::noc::NodeMemory>;
 
 #endif // GP_NOC_NODE_MEMORY_H

@@ -23,7 +23,6 @@ smallConfig()
     c.cache.setsPerBank = 16;
     c.cache.ways = 2;
     c.tlbEntries = 8;
-    c.pageBytes = 4096;
     return c;
 }
 
@@ -143,6 +142,14 @@ TEST(MemorySystem, FetchRequiresExecute)
     auto x = makePointer(Perm::ExecuteUser, 12, 0x10000);
     ASSERT_TRUE(x);
     EXPECT_EQ(m.fetch(x.value, 0).fault, Fault::None);
+}
+
+TEST(MemorySystemDeathTest, LineLongerThanPageIsFatal)
+{
+    // A line's recorded frame must name the whole line.
+    MemConfig c = smallConfig();
+    c.cache.lineBytes = 2 * kPageBytes;
+    EXPECT_DEATH(MemorySystem{c}, "smaller than the cache line");
 }
 
 TEST(MemorySystem, UnmapRangeRevokesAccess)

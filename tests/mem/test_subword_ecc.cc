@@ -114,14 +114,12 @@ class SubwordEcc
     void
     upset(unsigned bit)
     {
-        if (ms_) {
-            ASSERT_TRUE(ms_->phys().flipStoredBit(
-                *ms_->translateAddr(base_), bit));
-            return;
-        }
-        auto &slice = global_.sliceFor(base_);
-        ASSERT_TRUE(slice.phys.flipStoredBit(
-            *slice.pageTable.translateAddr(base_), bit));
+        const auto pa =
+            ms_ ? ms_->translateAddr(base_) : node_->translateAddr(base_);
+        ASSERT_TRUE(pa);
+        TaggedMemory &phys =
+            ms_ ? ms_->phys() : global_.sliceFor(base_).phys;
+        ASSERT_TRUE(phys.flipStoredBit(*pa, bit));
     }
 
     /** The load under test, through a pointer to its sub-word. */

@@ -81,6 +81,29 @@ numberArg(const char *tool, const char *flag, const std::string &text,
 }
 
 /**
+ * Parse the cycle budget @p text of flag @p flag (--max-cycles). The
+ * tool runs @p slack cycles past the budget, so the watchdog trips
+ * inside the run, not at its end. A budget of 0 would turn the
+ * watchdog off, and one within @p slack of 2^64 would wrap the run
+ * length: both end the run with a one-line message and exit status 2,
+ * as any bad number does.
+ */
+inline uint64_t
+cycleBudgetArg(const char *tool, const char *flag, const std::string &text,
+               uint64_t slack)
+{
+    const uint64_t v = numberArg(tool, flag, text);
+    if (v == 0)
+        badInput(tool, std::string("bad value for ") + flag + ": '" +
+                           text + "' (want a cycle budget of at least 1)");
+    if (v > UINT64_MAX - slack)
+        badInput(tool, std::string("bad value for ") + flag + ": '" +
+                           text + "' (want a cycle budget of at most " +
+                           std::to_string(UINT64_MAX - slack) + ")");
+    return v;
+}
+
+/**
  * Parse the --mesh geometry @p text, "X,Y,Z", into @p dims: three
  * dimensions > 0 naming at most @p maxNodes nodes. Anything else
  * prints a one-line "<tool>: bad --mesh geometry" message and exits

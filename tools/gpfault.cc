@@ -57,6 +57,7 @@
 
 using namespace gp;
 using gp::tools::badInput;
+using gp::tools::cycleBudgetArg;
 using gp::tools::numberArg;
 
 namespace {
@@ -199,15 +200,11 @@ parseArgs(int argc, char **argv, Options &opts, bool &exitEarly)
             continue;
         }
         if (valueOf("--max-cycles", value)) {
-            opts.campaign.maxCycles =
-                numberArg("gpfault", "--max-cycles", value);
             // 0 would turn the single arm's watchdog off but leave
-            // the mesh arm no cycle to run: both arms refuse it.
-            if (opts.campaign.maxCycles == 0)
-                badInput("gpfault", "bad value for --max-cycles: '" +
-                                        value +
-                                        "' (want a cycle budget of at "
-                                        "least 1)");
+            // the mesh arm no cycle to run; the single arm runs
+            // fault::kRunSlackCycles past the budget.
+            opts.campaign.maxCycles = cycleBudgetArg(
+                "gpfault", "--max-cycles", value, fault::kRunSlackCycles);
             opts.meshCampaign.maxCycles = opts.campaign.maxCycles;
             continue;
         }

@@ -52,6 +52,7 @@
 
 using namespace gp;
 using gp::tools::badInput;
+using gp::tools::cycleBudgetArg;
 using gp::tools::numberArg;
 
 namespace {
@@ -68,6 +69,10 @@ constexpr unsigned kMaxClusters = 1024;
 /// The flight recorder reserves its whole ring (one TraceEvent, ~80
 /// bytes, per entry) when it is armed; 2^20 entries is ~80 MB.
 constexpr size_t kMaxFlightRecorder = size_t(1) << 20;
+
+/// Cycles the run goes past --max-cycles, so the watchdog trip (and
+/// its flight-recorder dump) happens inside the machine, not here.
+constexpr uint64_t kRunSlackCycles = 1000;
 
 struct Options
 {
@@ -270,7 +275,8 @@ parseArgs(int argc, char **argv, Options &opts)
             opts.issueWidth = unsigned(
                 numberArg("gpsim", "--issue-width", value, UINT32_MAX));
         } else if (valueOf("--max-cycles", value)) {
-            opts.maxCycles = numberArg("gpsim", "--max-cycles", value);
+            opts.maxCycles = cycleBudgetArg("gpsim", "--max-cycles",
+                                            value, kRunSlackCycles);
         } else if (arg == "--dump-regs") {
             opts.dumpRegs = true;
         } else if (arg == "--dump-stats") {
@@ -575,9 +581,7 @@ main(int argc, char **argv)
         return 1;
     }
 
-    // Run slightly past the watchdog budget so the trip (and its
-    // flight-recorder dump) happens inside the machine, not here.
-    const uint64_t budget = opts.maxCycles + 1000;
+    const uint64_t budget = opts.maxCycles + kRunSlackCycles;
     const uint64_t cycles = sys.mesh ? sys.mesh->run(budget)
                                      : sys.kernel->machine().run(budget);
 
